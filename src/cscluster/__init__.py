@@ -12,7 +12,6 @@ from .graph import (
     Graph,
     GraphError,
     LaplacianOp,
-    apply_laplacian,
     build_graph,
     laplacian_op,
     read_edge_list,
@@ -32,7 +31,6 @@ from .filters import (
     ResolutionCheck,
     apply_filter,
     check_resolution_bound,
-    design_highpass,
     design_lowpass,
     error_split,
     jackson_multipliers,
@@ -50,7 +48,6 @@ from .features import (
 from .kmeans import KmeansConfig, Labeling, kmeans, labels_to_indicators
 from .sampling import (
     CgInfo,
-    ClusterResult,
     InterpolationConfig,
     SamplingSet,
     assign,
@@ -58,6 +55,7 @@ from .sampling import (
     interpolate,
     interpolate_all,
 )
+from .result import ClusterResult
 from .pipeline import (
     CscParams,
     DegenerateClusteringError,
@@ -79,12 +77,12 @@ from .sbm import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Graph", "GraphError", "LaplacianOp", "apply_laplacian", "build_graph",
+    "Graph", "GraphError", "LaplacianOp", "build_graph",
     "laplacian_op", "read_edge_list", "write_edge_list",
     "CoherenceProfile", "DenseCapError", "EigenBasis", "coherence", "dense_eig",
     "spectral_clustering",
     "ErrorBudget", "PolyFilter", "ResolutionCheck", "apply_filter",
-    "check_resolution_bound", "design_highpass", "design_lowpass", "error_split",
+    "check_resolution_bound", "design_lowpass", "error_split",
     "jackson_multipliers", "matched_highpass", "psd_ridge",
     "EigencountEstimate", "LambdaKEstimate", "eigencount", "estimate_lambda_k",
     "FeatureMatrix", "RandomSignals", "build_features", "generate_signals",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .graph import GraphError, laplacian_op, read_edge_list, write_edge_list
-from .oracle import DenseCapError
+from .oracle import DEFAULT_DENSE_CAP, DenseCapError
 from .pipeline import CscParams, DegenerateClusteringError, run_csc, run_sc_baseline
 from .sbm import SbmConfig, critical_epsilon, sbm_generate, sweep
 
@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Reads a whitespace edge list (src dst [weight], '#' comments) and writes the "
             "labels plus run diagnostics. Method csc uses " + _DEFAULTS_NOTE + "; method sc "
-            "is the exact dense-eigendecomposition baseline for small graphs."
+            "is the exact baseline, a dense LAPACK eigendecomposition of the Laplacian, "
+            f"refused above {DEFAULT_DENSE_CAP} nodes."
         ),
     )
     clu.add_argument("--input", type=str, required=True, help="edge-list path")
@@ -101,8 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     clu.add_argument("--lambda-k", type=float, dest="lambda_k",
                      help="cut-off eigenvalue override: skips the eigencount estimation stage")
     clu.add_argument("--seed", type=int, default=0)
-    clu.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="worker-thread cap (used by sweep cells; numeric kernels are single-threaded)")
     clu.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="csv: labels CSV plus .diag.json sidecar; json: one combined JSON file")
     clu.add_argument("--force", action="store_true", help="overwrite existing outputs")

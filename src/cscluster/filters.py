@@ -118,11 +118,6 @@ def design_lowpass(cutoff: float, order: int, damping: str = "jackson") -> PolyF
     return PolyFilter(coeffs=coeffs, cutoff=float(cutoff), order=order, damping=damping, kind="lowpass")
 
 
-def design_highpass(cutoff: float, order: int, damping: str = "jackson") -> PolyFilter:
-    """Exact complement 1 - lowpass of the matching low-pass design."""
-    return matched_highpass(design_lowpass(cutoff, order, damping))
-
-
 def matched_highpass(lowpass: PolyFilter) -> PolyFilter:
     """Complement filter with highpass(lam) + lowpass(lam) = 1 identically."""
     if lowpass.kind != "lowpass":

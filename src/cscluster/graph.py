@@ -8,6 +8,9 @@ pipeline has to treat them separately.
 
 from __future__ import annotations
 
+import io
+import re
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -101,6 +104,9 @@ def build_graph(
         raise GraphError("node indices must be integers")
     src = src.astype(np.int64)
     dst = dst.astype(np.int64)
+    if not np.all(np.isfinite(w)):
+        bad = int(np.flatnonzero(~np.isfinite(w))[0])
+        raise GraphError(f"non-finite weight {w[bad]} on edge ({src[bad]}, {dst[bad]})")
     if np.any(w < 0):
         bad = int(np.flatnonzero(w < 0)[0])
         raise GraphError(f"negative weight {w[bad]} on edge ({src[bad]}, {dst[bad]})")
@@ -169,49 +175,74 @@ def laplacian_op(graph: Graph) -> LaplacianOp:
     return LaplacianOp(graph=graph, d_inv_sqrt=dis)
 
 
-def apply_laplacian(op: LaplacianOp, x: np.ndarray) -> np.ndarray:
-    """Functional alias for ``op.apply(x)``."""
-    return op.apply(x)
+_NODES_HEADER = re.compile(r"^[^\S\n]*#[^\S\n]*nodes[^\S\n]+(\S+)[^\S\n]*$", re.M)
+_COMMENT_LINE = re.compile(r"^[^\S\n]*#.*$", re.M)
+_IS_BLANK = np.zeros(256, dtype=bool)
+_IS_BLANK[list(b" \t\n\r\x0b\x0c")] = True
+_UNIT_WEIGHT = np.frombuffer(b" 1", dtype=np.uint8)
+_EDGE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
 
 
 def read_edge_list(path: str | Path, num_nodes: int | None = None) -> Graph:
     """Parse a whitespace-separated edge list: ``src dst [weight]`` per line.
 
-    0-based indices, ``#`` comment lines skipped, missing weight = 1.0.
-    A ``# nodes <N>`` comment (as written by ``write_edge_list``) pins the
-    node count so trailing isolated nodes survive a round trip; an explicit
-    ``num_nodes`` argument overrides it.
+    0-based indices, ``#`` comment lines and blank lines skipped, missing
+    weight = 1.0 (2- and 3-column lines may mix). A ``# nodes <N>`` comment
+    (as written by ``write_edge_list``) pins the node count so trailing
+    isolated nodes survive a round trip; an explicit ``num_nodes`` argument
+    overrides it.
+
+    One vectorized pass: comment lines are blanked, tokens are counted per
+    line on the raw bytes, 2-column lines get a unit weight appended, and
+    ``np.loadtxt`` parses the resulting 3-column text.
     """
     path = Path(path)
-    rows: list[tuple[int, int, float]] = []
-    header_nodes = None
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                parts = stripped[1:].split()
-                if len(parts) == 2 and parts[0] == "nodes":
-                    try:
-                        header_nodes = int(parts[1])
-                    except ValueError:
-                        pass
-                continue
-            parts = stripped.split()
-            if len(parts) not in (2, 3):
-                raise GraphError(f"{path}:{lineno}: expected 'src dst [weight]', got {stripped!r}")
-            try:
-                i = int(parts[0])
-                j = int(parts[1])
-                w = float(parts[2]) if len(parts) == 3 else 1.0
-            except ValueError as exc:
-                raise GraphError(f"{path}:{lineno}: {exc}") from None
-            rows.append((i, j, w))
+    text = path.read_text(encoding="utf-8")
     if num_nodes is None:
-        num_nodes = header_nodes
-    arr = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
+        for token in _NODES_HEADER.findall(text):
+            try:
+                num_nodes = int(token)
+            except ValueError:
+                pass
+    body = _COMMENT_LINE.sub("", text)
+    raw = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
+    newline = raw == ord("\n")
+    blank = _IS_BLANK[raw]
+    token_start = ~blank
+    token_start[1:] &= blank[:-1]
+    line_of = np.cumsum(newline) - newline
+    columns = np.bincount(line_of[token_start], minlength=int(newline.sum()) + 1)
+    bad = np.flatnonzero((columns != 0) & (columns != 2) & (columns != 3))
+    if bad.size:
+        line = body.split("\n")[bad[0]].strip()
+        raise GraphError(f"{path}:{bad[0] + 1}: expected 'src dst [weight]', got {line!r}")
+    two = np.flatnonzero(columns == 2)
+    line_end = np.append(np.flatnonzero(newline), raw.size)[two]
+    body = np.insert(raw, np.repeat(line_end, 2), np.tile(_UNIT_WEIGHT, two.size)).tobytes().decode("utf-8")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file without edges
+            rows = np.loadtxt(io.StringIO(body), dtype=_EDGE_ROW, comments=None, ndmin=1)
+    except ValueError as exc:
+        raise _locate_malformed_line(path, text, body, exc) from None
+    arr = np.column_stack([rows["src"], rows["dst"], rows["weight"]])
     return build_graph(arr, num_nodes=num_nodes, self_loops="error")
+
+
+def _locate_malformed_line(path: Path, text: str, body: str, exc: ValueError) -> GraphError:
+    """Error-path second pass: name the first line whose values do not parse.
+    ``body`` is ``text`` with the same line numbering, comments blanked and
+    unit weights appended."""
+    for lineno, (line, original) in enumerate(zip(body.split("\n"), text.split("\n")), start=1):
+        if not line.strip():
+            continue
+        try:
+            np.loadtxt([line], dtype=_EDGE_ROW, comments=None, ndmin=1)
+        except ValueError:
+            return GraphError(
+                f"{path}:{lineno}: expected integer node ids and a float weight, got {original.strip()!r}"
+            )
+    return GraphError(f"{path}: {exc}")
 
 
 def write_edge_list(graph: Graph, path: str | Path) -> None:

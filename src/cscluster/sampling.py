@@ -21,13 +21,11 @@ import numpy as np
 
 from .filters import PolyFilter, apply_filter, psd_ridge
 from .graph import LaplacianOp
-from .result import ClusterResult
 
 __all__ = [
     "SamplingSet",
     "InterpolationConfig",
     "CgInfo",
-    "ClusterResult",
     "draw_sampling",
     "interpolate",
     "interpolate_all",

@@ -53,7 +53,7 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def default_num_signals(num_nodes: int) -> int:
+def default_probe_signals(num_nodes: int) -> int:
     """2 * ceil(ln N) probe signals."""
     return 2 * int(math.ceil(math.log(max(num_nodes, 2))))
 
@@ -66,7 +66,7 @@ def _transition_halfwidth(lam: float, order: int) -> float:
 
 
 def _resolve_num_signals(num_nodes: int, num_signals: int | None) -> int:
-    ds = num_signals if num_signals is not None else default_num_signals(num_nodes)
+    ds = num_signals if num_signals is not None else default_probe_signals(num_nodes)
     if ds < 1:
         raise ValueError("num_signals must be >= 1")
     return ds

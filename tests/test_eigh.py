@@ -1,73 +1,70 @@
+"""The dense eigendecomposition behind the oracle: ``dense_eig`` on small
+unweighted and weighted graphs (ascending eigenvalues, orthonormal
+eigenvectors, small residuals, degenerate and diagonal cases)."""
+
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from cscluster.eigh import HAVE_NUMBA, symmetric_eigh, tridiagonalize
-
-PATHS = [False] + ([True] if HAVE_NUMBA else [])
-
-
-def _random_symmetric(n, rng):
-    A = rng.standard_normal((n, n))
-    return (A + A.T) / 2.0
+from cscluster import build_graph, dense_eig, laplacian_op
+from helpers import random_graph
 
 
-@pytest.mark.parametrize("use_numba", PATHS)
-class TestTridiagonalize:
-    def test_similarity_and_shape(self, use_numba):
-        rng = np.random.default_rng(0)
-        A = _random_symmetric(30, rng)
-        d, e, Q = tridiagonalize(A, use_numba=use_numba)
-        T = np.diag(d) + np.diag(e[:-1], 1) + np.diag(e[:-1], -1)
-        assert np.linalg.norm(Q.T @ Q - np.eye(30)) < 1e-12
-        assert np.linalg.norm(Q @ T @ Q.T - A) < 1e-12 * np.linalg.norm(A)
+def _graph_op(n, rng, weighted):
+    if n < 2:
+        return laplacian_op(build_graph([], num_nodes=n))
+    return laplacian_op(random_graph(n, 0.5, rng, weighted=weighted))
 
 
-@pytest.mark.parametrize("use_numba", PATHS)
+@pytest.mark.parametrize("weighted", [False, True])
 class TestSymmetricEigh:
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 60])
-    def test_residual_orthonormality(self, use_numba, n):
+    def test_residual_orthonormality(self, weighted, n):
         rng = np.random.default_rng(n)
-        A = _random_symmetric(n, rng)
-        w, V = symmetric_eigh(A, use_numba=use_numba)
+        op = _graph_op(n, rng, weighted)
+        L = op.dense()
+        basis = dense_eig(op)
+        w, V = basis.eigenvalues, basis.eigenvectors
+        assert V.shape == (n, n)
         assert np.all(np.diff(w) >= -1e-12)
         assert np.linalg.norm(V.T @ V - np.eye(n)) < 1e-11
-        assert np.linalg.norm(A @ V - V * w) < 1e-10 * max(1.0, np.linalg.norm(A))
+        assert np.linalg.norm(L @ V - V * w) < 1e-10 * max(1.0, np.linalg.norm(L))
 
-    def test_matches_lapack_eigenvalues(self, use_numba):
-        # cross-check against an entirely independent solver
+    def test_matches_lapack_eigenvalues(self, weighted):
+        # cross-check against numpy's own LAPACK build on the same dense matrix
         rng = np.random.default_rng(42)
         for n in (5, 20, 80):
-            A = _random_symmetric(n, rng)
-            w = symmetric_eigh(A, vectors=False, use_numba=use_numba)
-            ref = np.linalg.eigvalsh(A)
+            op = _graph_op(n, rng, weighted)
+            w = dense_eig(op, vectors=False).eigenvalues
+            ref = np.linalg.eigvalsh(op.dense())
             assert np.abs(w - ref).max() < 1e-10 * max(1.0, np.abs(ref).max())
 
-    def test_eigenvalue_only_mode_consistent(self, use_numba):
+    def test_eigenvalue_only_mode_consistent(self, weighted):
         rng = np.random.default_rng(1)
-        A = _random_symmetric(25, rng)
-        w_only = symmetric_eigh(A, vectors=False, use_numba=use_numba)
-        w_full, _ = symmetric_eigh(A, use_numba=use_numba)
-        assert np.allclose(w_only, w_full, atol=1e-12)
+        op = _graph_op(25, rng, weighted)
+        only = dense_eig(op, vectors=False)
+        full = dense_eig(op)
+        assert only.eigenvectors.shape == (25, 0)
+        assert np.allclose(only.eigenvalues, full.eigenvalues, atol=1e-12)
 
-    def test_diagonal_matrix(self, use_numba):
-        D = np.diag([3.0, -1.0, 2.0, 0.0])
-        w, V = symmetric_eigh(D, use_numba=use_numba)
-        assert np.allclose(w, [-1.0, 0.0, 2.0, 3.0])
-        assert np.allclose(np.abs(V[np.argsort([3.0, -1.0, 2.0, 0.0])]), np.eye(4)[np.arange(4)])
+    def test_diagonal_matrix(self, weighted):
+        # every node has degree 0 (no edges, or only zero-weight ones), so L is the identity
+        edges = [(i, j, 0.0) for i in range(4) for j in range(i + 1, 4)] if weighted else []
+        op = laplacian_op(build_graph(edges, num_nodes=4))
+        assert np.array_equal(op.dense(), np.eye(4))
+        basis = dense_eig(op)
+        assert np.allclose(basis.eigenvalues, 1.0, atol=1e-14)
+        assert np.linalg.norm(basis.eigenvectors.T @ basis.eigenvectors - np.eye(4)) < 1e-12
 
-    def test_degenerate_spectrum(self, use_numba):
-        # projector with eigenvalues {0, 1} of high multiplicity
-        rng = np.random.default_rng(2)
-        Q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
-        A = Q[:, :7] @ Q[:, :7].T
-        w, V = symmetric_eigh(A, use_numba=use_numba)
-        assert np.allclose(np.sort(w)[-7:], 1.0, atol=1e-10)
-        assert np.allclose(np.sort(w)[:-7], 0.0, atol=1e-10)
-        assert np.linalg.norm(A @ V - V * w) < 1e-10
-
-
-def test_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        tridiagonalize(np.ones((3, 2)))
+    def test_degenerate_spectrum(self, weighted):
+        # three disjoint K4: eigenvalue 0 three times and 4/3 nine times,
+        # whatever the (common) weight of the edges
+        wt = 2.5 if weighted else 1.0
+        edges = [(4 * c + i, 4 * c + j, wt) for c in range(3) for i in range(4) for j in range(i + 1, 4)]
+        op = laplacian_op(build_graph(edges))
+        basis = dense_eig(op)
+        w, V = basis.eigenvalues, basis.eigenvectors
+        assert np.allclose(w[:3], 0.0, atol=1e-10)
+        assert np.allclose(w[3:], 4.0 / 3.0, atol=1e-10)
+        assert np.linalg.norm(op.dense() @ V - V * w) < 1e-10

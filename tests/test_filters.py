@@ -8,7 +8,6 @@ from cscluster import (
     apply_filter,
     check_resolution_bound,
     dense_eig,
-    design_highpass,
     design_lowpass,
     error_split,
     jackson_multipliers,
@@ -60,11 +59,6 @@ class TestDesign:
         lam = np.linspace(0.0, 2.0, 1001)
         assert np.abs(low.evaluate(lam) + high.evaluate(lam) - 1.0).max() < 1e-12
         assert high.kind == "highpass"
-
-    def test_design_highpass_equivalent(self):
-        a = design_highpass(0.6, 25, damping="jackson")
-        b = matched_highpass(design_lowpass(0.6, 25, damping="jackson"))
-        assert np.allclose(a.coeffs, b.coeffs)
 
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
@@ -241,7 +235,7 @@ class TestResolutionBound:
 
 
 def test_psd_ridge_makes_highpass_nonnegative():
-    high = design_highpass(0.6, 50, damping="jackson")
+    high = matched_highpass(design_lowpass(0.6, 50, damping="jackson"))
     rho = psd_ridge(high)
     grid = np.linspace(0.0, 2.0, 2001)
     assert np.min(high.evaluate(grid)) + rho >= 0.0

@@ -5,7 +5,6 @@ import pytest
 
 from cscluster import (
     GraphError,
-    apply_laplacian,
     build_graph,
     laplacian_op,
     read_edge_list,
@@ -39,6 +38,11 @@ class TestBuildGraph:
     def test_negative_weight_rejected(self):
         with pytest.raises(GraphError, match="negative weight"):
             build_graph([(0, 1, -0.5)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(GraphError, match="non-finite weight"):
+            build_graph([(0, 1, bad), (1, 2, 1.0)])
 
     def test_index_out_of_range(self):
         with pytest.raises(GraphError, match="out of range"):
@@ -74,7 +78,7 @@ class TestLaplacianOp:
     def test_nullvector_k3(self, k3_graph):
         op = laplacian_op(k3_graph)
         x = np.sqrt(k3_graph.degrees)  # D^{1/2} 1 spans the zero eigenspace
-        assert np.linalg.norm(apply_laplacian(op, x)) < 1e-14
+        assert np.linalg.norm(op.apply(x)) < 1e-14
 
     def test_disconnected_component_nullspace(self, two_k2_graph):
         op = laplacian_op(two_k2_graph)
@@ -166,4 +170,66 @@ class TestEdgeListIO:
         path = tmp_path / "bad.edges"
         path.write_text("0 1\nnonsense line here oops\n")
         with pytest.raises(GraphError, match=":2"):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize(
+        "body, lineno",
+        [
+            ("0 1\n# c\n\n1 2 x\n", 4),  # weight does not parse
+            ("0 1 0.5\n1.0 2\n", 2),  # indices are integers
+            ("0 1\n2\n", 2),  # one column
+        ],
+    )
+    def test_bad_value_reports_number(self, tmp_path, body, lineno):
+        path = tmp_path / "bad.edges"
+        path.write_text(body)
+        with pytest.raises(GraphError, match=f"bad.edges:{lineno}: "):
+            read_edge_list(path)
+
+    def test_mixed_two_and_three_columns(self, tmp_path):
+        path = tmp_path / "mixed.edges"
+        path.write_text("# nodes 5\n0 1\n  1 2 2.5  \n\n\t# comment\n2 3\n3 0 0.25\n")
+        g = read_edge_list(path)
+        assert g.num_nodes == 5
+        W = g.adjacency().toarray()
+        assert (W[0, 1], W[1, 2], W[2, 3], W[0, 3]) == (1.0, 2.5, 1.0, 0.25)
+        assert g.num_edges == 4
+
+    def test_matches_line_by_line_reference(self, tmp_path):
+        # the vectorized parser against a plain per-line loop on a messy file
+        rng = np.random.default_rng(8)
+        pad = [" ", "  ", "\t", " \t"]
+        lines, rows = ["# nodes 70"], []
+        for _ in range(400):
+            i, j = rng.choice(70, size=2, replace=False)
+            cols = [str(i), str(j)]
+            if rng.random() < 0.5:
+                cols.append(repr(float(rng.uniform(0.1, 3.0))))
+            lead, sep, tail = (pad[t] for t in rng.integers(len(pad), size=3))
+            lines.append(lead * int(rng.integers(2)) + sep.join(cols) + tail * int(rng.integers(2)))
+            if rng.random() < 0.1:
+                lines.append(rng.choice(["", "   ", "# comment 1 2", "\t#x"]))
+        path = tmp_path / "messy.edges"
+        path.write_text("\n".join(lines))
+        for line in lines:
+            parts = line.split()
+            if parts and not parts[0].startswith("#"):
+                rows.append((int(parts[0]), int(parts[1]), float(parts[2]) if len(parts) == 3 else 1.0))
+        ref = build_graph(rows, num_nodes=70)
+        g = read_edge_list(path)
+        assert g.num_nodes == 70
+        assert np.array_equal(g.indptr, ref.indptr)
+        assert np.array_equal(g.indices, ref.indices)
+        assert np.array_equal(g.weights, ref.weights)
+
+    def test_header_only_file_is_edgeless(self, tmp_path):
+        path = tmp_path / "empty.edges"
+        path.write_text("# nodes 3\n")
+        g = read_edge_list(path)
+        assert g.num_nodes == 3 and g.num_edges == 0
+
+    def test_non_finite_weight_rejected(self, tmp_path):
+        path = tmp_path / "nan.edges"
+        path.write_text("0 1 1.0\n1 2 nan\n")
+        with pytest.raises(GraphError, match="non-finite weight"):
             read_edge_list(path)

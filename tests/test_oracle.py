@@ -12,6 +12,7 @@ from cscluster import (
     coherence,
     dense_eig,
     laplacian_op,
+    run_sc_baseline,
     sbm_generate,
     spectral_clustering,
 )
@@ -132,6 +133,12 @@ class TestSpectralClustering:
         g, _ = cliques_graph(3, 5)
         with pytest.raises(ValueError, match="zero row"):
             spectral_clustering(laplacian_op(g), 2, KmeansConfig(k=2, seed=0))
+
+    def test_equal_seeds_give_identical_json(self, sbm500):
+        op, k = sbm500["op"], sbm500["k"]
+        for seed in (0, 7):
+            first = run_sc_baseline(op, k, seed=seed).to_json()
+            assert run_sc_baseline(op, k, seed=seed).to_json() == first
 
     @pytest.mark.slow
     def test_sbm_near_perfect_recovery(self):

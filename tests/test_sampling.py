@@ -9,11 +9,12 @@ from cscluster import (
     adjusted_rand_index,
     assign,
     dense_eig,
-    design_highpass,
+    design_lowpass,
     draw_sampling,
     interpolate,
     interpolate_all,
     laplacian_op,
+    matched_highpass,
 )
 from cscluster.sampling import _system_apply
 from helpers import cliques_graph
@@ -68,7 +69,7 @@ class TestDrawSampling:
 
 
 def _interp_cfg(order=60, cutoff=0.5, **kw):
-    return InterpolationConfig(highpass=design_highpass(cutoff, order), **kw)
+    return InterpolationConfig(highpass=matched_highpass(design_lowpass(cutoff, order)), **kw)
 
 
 class TestInterpolate:
@@ -156,7 +157,7 @@ class TestInterpolate:
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
-            InterpolationConfig(highpass=design_highpass(0.5, 20), gamma=0.0)
+            InterpolationConfig(highpass=matched_highpass(design_lowpass(0.5, 20)), gamma=0.0)
 
 
 class TestAssign:

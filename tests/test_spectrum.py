@@ -12,7 +12,7 @@ from cscluster import (
     estimate_lambda_k,
     laplacian_op,
 )
-from cscluster.spectrum import default_num_signals, trace_to_csv
+from cscluster.spectrum import default_probe_signals, trace_to_csv
 from helpers import cliques_graph, ideal_projector_apply
 
 
@@ -20,7 +20,7 @@ class TestEigencount:
     def test_full_spectrum_count(self, sbm1000_gap):
         op = sbm1000_gap["op"]
         est = eigencount(op, 2.0, rng=np.random.default_rng(0))
-        assert est.num_signals == default_num_signals(1000) == 14
+        assert est.num_signals == default_probe_signals(1000) == 14
         assert abs(est.count - 1000) <= 0.10 * 1000
 
     def test_two_k2s_at_one(self, two_k2_graph):
