@@ -11,8 +11,11 @@ theta_c = arccos(lambda_c - 1),
 
 optionally damped by Jackson multipliers to suppress the Gibbs oscillations
 around the cut-off. Applying a filter to graph signals uses the three-term
-recurrence T_{l+1}(y) = 2 y T_l(y) - T_{l-1}(y) with y = L - I, i.e. only
-matrix-vector products: the dense filter operator is never materialized.
+recurrence T_{l+1}(y) = 2 y T_l(y) - T_{l-1}(y) with y = L - I = -S, where
+S = D^{-1/2} W D^{-1/2} is the prescaled adjacency the Laplacian operator
+stores, i.e. only sparse matrix products: the dense filter operator is never
+materialized. Each step costs one ``LaplacianOp.apply`` and runs in place on
+the fresh array it returns.
 """
 
 from __future__ import annotations
@@ -152,11 +155,18 @@ def apply_filters(filters: Sequence[PolyFilter], op: LaplacianOp, x: np.ndarray)
     outs = [c[0] * x for c in C]
     if C.shape[1] > 1:
         t_prev = x
-        t_cur = op.apply(x) - x  # (L - I) x
+        t_cur = op.apply(x)
+        t_cur -= x  # (L - I) x
         for l in range(1, C.shape[1]):
             if l > 1:
-                t_prev, t_cur = t_cur, 2.0 * (op.apply(t_cur) - t_cur) - t_prev
-            outs = [out + c[l] * t_cur for out, c in zip(outs, C)]
+                # T_{l+1} = 2 (L - I) T_l - T_{l-1}, in the fresh array op.apply returns
+                t_next = op.apply(t_cur)
+                t_next -= t_cur
+                t_next *= 2.0
+                t_next -= t_prev
+                t_prev, t_cur = t_cur, t_next
+            for out, c in zip(outs, C):
+                out += c[l] * t_cur
     return outs
 
 

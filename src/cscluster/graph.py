@@ -133,14 +133,21 @@ def build_graph(
 
 @dataclass
 class LaplacianOp:
-    """Matrix-free normalized Laplacian L = I - D^{-1/2} W D^{-1/2}.
+    """Normalized Laplacian L = I - S, with S = D^{-1/2} W D^{-1/2} stored.
 
-    Immutable after construction; ``apply`` is reentrant and works columnwise
-    on matrices. Cost of one application is O(#E).
+    S is a CSR matrix on W's ``indptr`` and ``indices`` with data
+    w_ij d_i^{-1/2} d_j^{-1/2}, built on first use and cached; a zero-degree
+    node has an all-zero row of S, so L acts as the identity on it. One
+    application to d signal columns is one sparse product with S plus one
+    pass over the N x d result: O(#E d).
+
+    Immutable after construction (the cached S aside, whose build is
+    idempotent); ``apply`` is reentrant and works columnwise on matrices.
     """
 
     graph: Graph
     d_inv_sqrt: np.ndarray
+    _s: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_nodes(self) -> int:
@@ -150,15 +157,24 @@ class LaplacianOp:
     def shape(self) -> tuple[int, int]:
         return (self.graph.num_nodes, self.graph.num_nodes)
 
+    def normalized_adjacency(self) -> sp.csr_matrix:
+        """CSR S = D^{-1/2} W D^{-1/2} (shares W's index arrays, do not mutate)."""
+        if self._s is None:
+            g = self.graph
+            row_scale = np.repeat(self.d_inv_sqrt, np.diff(g.indptr))
+            data = g.weights * row_scale * self.d_inv_sqrt[g.indices]
+            self._s = sp.csr_matrix((data, g.indices, g.indptr), shape=self.shape)
+        return self._s
+
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Return L x for a vector or an N-row matrix of signals."""
+        """Return L x = x - S x for a vector or an N-row matrix of signals,
+        as a fresh array that the caller owns."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape[0] != self.num_nodes:
             raise ValueError(f"signal has {x.shape[0]} rows, graph has {self.num_nodes} nodes")
-        W = self.graph.adjacency()
-        if x.ndim == 1:
-            return x - self.d_inv_sqrt * (W @ (self.d_inv_sqrt * x))
-        return x - self.d_inv_sqrt[:, None] * (W @ (self.d_inv_sqrt[:, None] * x))
+        out = self.normalized_adjacency() @ x
+        np.subtract(x, out, out=out)
+        return out
 
     def dense(self) -> np.ndarray:
         """Dense N x N Laplacian (test/oracle use; O(N^2) memory)."""

@@ -115,8 +115,12 @@ class CgInfo:
 
 
 def _system_apply(op: LaplacianOp, cfg: InterpolationConfig, mask: np.ndarray, X: np.ndarray) -> np.ndarray:
-    reg = apply_filter(cfg.highpass, op, X) + cfg.ridge * X
-    return mask[:, None] * X + cfg.gamma * reg
+    """(M^T M + gamma (g(L) + ridge I)) X, accumulated in the filter output."""
+    out = apply_filter(cfg.highpass, op, X)
+    out += cfg.ridge * X
+    out *= cfg.gamma
+    out += mask[:, None] * X
+    return out
 
 
 def interpolate_all(
@@ -129,9 +133,11 @@ def interpolate_all(
 
     ``reduced`` is (n, k): one reduced indicator column per cluster. Each
     column keeps its own step sizes, so this is exactly per-column CG with
-    shared filtering passes; converged columns are frozen. Columns that miss
-    the residual target within ``solver_max_iters`` keep their best iterate
-    and are reported as unconverged.
+    shared filtering passes; converged columns are frozen and no longer
+    filtered, so a step costs ``order`` Laplacian applications to the
+    columns still active. Columns that miss the residual target within
+    ``solver_max_iters`` keep their best iterate and are reported as
+    unconverged.
     """
     n, k = reduced.shape
     if n != sampling.size:
@@ -153,7 +159,11 @@ def interpolate_all(
 
     iters = 0
     while active.any() and iters < cfg.solver_max_iters:
-        AP = _system_apply(op, cfg, mask, P)
+        if active.all():
+            AP = _system_apply(op, cfg, mask, P)
+        else:
+            AP = np.zeros_like(P)
+            AP[:, active] = _system_apply(op, cfg, mask, P[:, active])
         denom = np.einsum("ij,ij->j", P, AP)
         alpha = np.where(active & (np.abs(denom) > tiny), rs / np.where(np.abs(denom) > tiny, denom, 1.0), 0.0)
         X += alpha * P

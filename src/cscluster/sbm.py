@@ -19,7 +19,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -335,9 +335,11 @@ def sweep(
 ) -> list[dict[str, Any]]:
     """Run the grid described by ``spec`` and append rows to a tidy CSV.
 
-    Completed (method, cell, replicate) rows found in an existing CSV are
-    skipped, so interrupted sweeps resume; ``force`` restarts from scratch.
-    Rows are written in deterministic grid order regardless of thread count.
+    Each row is appended and flushed as soon as its run completes, so an
+    interrupted sweep keeps every finished row; completed (method, cell,
+    replicate) rows found in an existing CSV are skipped, so the next call
+    resumes. ``force`` restarts from scratch. Rows are written in
+    deterministic grid order regardless of thread count.
     """
     if not isinstance(spec, dict):
         spec = json.loads(Path(spec).read_text(encoding="utf-8"))
@@ -353,17 +355,23 @@ def sweep(
         out_path.unlink()
 
     pending = [r for r in runs if r["run_id"] not in done]
-    if threads > 1 and len(pending) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_execute_run, pending))
-    else:
-        rows = [_execute_run(r) for r in pending]
-
     write_header = not out_path.exists()
+    rows: list[dict[str, Any]] = []
     with out_path.open("a", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_FIELDS)
         if write_header:
             writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+            fh.flush()
+
+        def record(completed: Iterable[dict[str, Any]]) -> None:
+            for row in completed:
+                writer.writerow(row)
+                fh.flush()
+                rows.append(row)
+
+        if threads > 1 and len(pending) > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                record(pool.map(_execute_run, pending))
+        else:
+            record(_execute_run(r) for r in pending)
     return rows

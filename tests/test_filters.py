@@ -6,10 +6,12 @@ import pytest
 from cscluster import (
     PolyFilter,
     apply_filter,
+    build_features,
     check_resolution_bound,
     dense_eig,
     design_lowpass,
     error_split,
+    generate_signals,
     jackson_multipliers,
     laplacian_op,
     matched_highpass,
@@ -150,6 +152,27 @@ class TestApply:
             assert np.array_equal(got, apply_filter(filt, op, X))
         with pytest.raises(ValueError):
             apply_filters([design_lowpass(0.5, 20), design_lowpass(0.5, 10)], op, X)
+
+    def test_inputs_never_written(self, sbm500):
+        # the recurrence runs in place, but only on arrays it allocated itself
+        op = sbm500["op"]
+        weights = op.graph.weights.copy()
+        filters = [design_lowpass(c, 20) for c in (0.4, 0.6)]
+        rng = np.random.default_rng(5)
+        for x in (rng.standard_normal(op.num_nodes), rng.standard_normal((op.num_nodes, 3))):
+            before = x.copy()
+            first = op.apply(x)
+            second = op.apply(x)
+            assert np.array_equal(x, before)
+            assert np.array_equal(first, second) and first is not second
+            assert not np.shares_memory(first, x)
+            apply_filters(filters, op, x)
+            assert np.array_equal(x, before)
+        signals = generate_signals(op.num_nodes, 4, seed=6)
+        matrix = signals.matrix.copy()
+        build_features(op, filters[0], signals)
+        assert np.array_equal(signals.matrix, matrix)
+        assert np.array_equal(op.graph.weights, weights)
 
     def test_dimension_mismatch(self, k3_graph):
         op = laplacian_op(k3_graph)

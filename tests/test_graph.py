@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -131,6 +134,39 @@ class TestLaplacianOp:
         op = laplacian_op(g)
         x = np.array([0.0, 0.0, 5.0])
         assert np.allclose(op.apply(x), x)
+
+    def test_prescaled_adjacency_built_once_on_first_use(self):
+        g = build_graph([(0, 1, 2.0), (1, 2, 0.5)], num_nodes=4)
+        op = laplacian_op(g)
+        assert op._s is None
+        S = op.normalized_adjacency()
+        assert op.normalized_adjacency() is S
+        assert np.allclose(S.toarray(), np.eye(4) - op.dense(), atol=1e-15)
+        assert S.getrow(3).nnz == 0  # isolated node: L acts as I
+        op.apply(np.ones(4))
+        assert op._s is S
+
+    def test_concurrent_first_use_agrees(self):
+        # racing first applications may each build S; every result is the same
+        rng = np.random.default_rng(14)
+        g = random_graph(80, 0.1, rng)
+        X = rng.standard_normal((g.num_nodes, 3))
+        ref = laplacian_op(g).apply(X)
+        op = laplacian_op(g)
+        results = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: results.append(op.apply(X))) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8
+        assert all(np.array_equal(r, ref) for r in results)
 
 
 class TestEdgeListIO:

@@ -6,6 +6,7 @@ import scipy.stats
 
 from cscluster import (
     InterpolationConfig,
+    LaplacianOp,
     adjusted_rand_index,
     assign,
     dense_eig,
@@ -16,6 +17,7 @@ from cscluster import (
     laplacian_op,
     matched_highpass,
 )
+import cscluster.sampling
 from cscluster.sampling import _system_apply
 from helpers import cliques_graph
 
@@ -154,6 +156,56 @@ class TestInterpolate:
         assert not bool(np.all(info.converged))
         assert info.residuals[0] > 0
         assert any("did not converge" in rec.message for rec in caplog.records)
+
+    @staticmethod
+    def _indicator_problem(sbm500, n, seed):
+        truth = sbm500["truth"]
+        sampling = draw_sampling(sbm500["op"].num_nodes, n, seed)
+        reduced = np.zeros((n, sbm500["k"]))
+        reduced[np.arange(n), truth[sampling.indices]] = 1.0
+        return sampling, reduced
+
+    def test_work_is_deterministic_count(self, sbm500, monkeypatch):
+        # converged columns leave the filtering passes
+        op = sbm500["op"]
+        order = 40
+        cfg = _interp_cfg(order=order, cutoff=0.45)
+        sampling, reduced = self._indicator_problem(sbm500, 80, 11)
+        real_apply = LaplacianOp.apply
+        calls = columns = 0
+
+        def counting_apply(self, x):
+            nonlocal calls, columns
+            calls += 1
+            columns += x.shape[1]
+            return real_apply(self, x)
+
+        monkeypatch.setattr(LaplacianOp, "apply", counting_apply)
+        _, info = interpolate_all(op, cfg, sampling, reduced)
+        assert bool(np.all(info.converged))
+        assert np.unique(info.iterations).size > 1  # columns finish at different steps
+        assert columns == order * int(info.iterations.sum())
+        assert calls == order * info.max_iterations
+
+    def test_inputs_never_written(self, sbm500, monkeypatch):
+        op = sbm500["op"]
+        weights = op.graph.weights.copy()
+        cfg = _interp_cfg(order=30, cutoff=0.45)
+        sampling, reduced = self._indicator_problem(sbm500, 60, 12)
+        reduced_before = reduced.copy()
+        untouched = []
+
+        def checking_system_apply(op_, cfg_, mask, P):
+            before = P.copy()
+            out = _system_apply(op_, cfg_, mask, P)
+            untouched.append(np.array_equal(P, before))
+            return out
+
+        monkeypatch.setattr(cscluster.sampling, "_system_apply", checking_system_apply)
+        interpolate_all(op, cfg, sampling, reduced)
+        assert untouched and all(untouched)
+        assert np.array_equal(reduced, reduced_before)
+        assert np.array_equal(op.graph.weights, weights)
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):

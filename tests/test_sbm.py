@@ -14,6 +14,7 @@ from cscluster import (
     sbm_generate,
     sweep,
 )
+import cscluster.sbm
 from cscluster.sbm import expand_sweep_spec
 from helpers import all_partitions, brute_force_ari, cliques_graph
 
@@ -183,6 +184,35 @@ class TestSweep:
         again = sweep(self._tiny_spec(), out)
         assert again == []
         assert out.read_bytes() == before
+
+    def test_interrupted_sweep_keeps_finished_rows(self, tmp_path, monkeypatch):
+        spec = self._tiny_spec(replicates=1)
+        spec["graph"]["epsilon"] = [0.02, 0.05, 0.1]
+        run_ids = [r["run_id"] for r in expand_sweep_spec(spec)]
+        out = tmp_path / "interrupted.csv"
+        real_run = cscluster.sbm._execute_run
+        executed = []
+        interrupt_at = 3
+
+        def flaky_run(run):
+            executed.append(run["run_id"])
+            if len(executed) == interrupt_at:
+                raise KeyboardInterrupt
+            return real_run(run)
+
+        monkeypatch.setattr(cscluster.sbm, "_execute_run", flaky_run)
+        with pytest.raises(KeyboardInterrupt):
+            sweep(spec, out)
+        with out.open() as fh:
+            assert [r["run_id"] for r in csv.DictReader(fh)] == run_ids[:2]
+
+        executed.clear()
+        interrupt_at = None
+        rows = sweep(spec, out)
+        assert executed == run_ids[2:]
+        assert [r["run_id"] for r in rows] == run_ids[2:]
+        with out.open() as fh:
+            assert [r["run_id"] for r in csv.DictReader(fh)] == run_ids
 
     def test_force_restarts(self, tmp_path):
         out = tmp_path / "force.csv"
