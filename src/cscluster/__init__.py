@@ -37,13 +37,12 @@ from .filters import (
     matched_highpass,
     psd_ridge,
 )
-from .spectrum import EigencountEstimate, LambdaKEstimate, eigencount, estimate_lambda_k
+from .spectrum import LambdaKEstimate, chebyshev_moments, count_curve, estimate_lambda_k
 from .features import (
     FeatureMatrix,
     RandomSignals,
     build_features,
     generate_signals,
-    pairwise_distance,
 )
 from .kmeans import KmeansConfig, Labeling, kmeans, labels_to_indicators
 from .sampling import (
@@ -52,7 +51,6 @@ from .sampling import (
     SamplingSet,
     assign,
     draw_sampling,
-    interpolate,
     interpolate_all,
 )
 from .result import ClusterResult
@@ -84,12 +82,11 @@ __all__ = [
     "ErrorBudget", "PolyFilter", "ResolutionCheck", "apply_filter",
     "check_resolution_bound", "design_lowpass", "error_split",
     "jackson_multipliers", "matched_highpass", "psd_ridge",
-    "EigencountEstimate", "LambdaKEstimate", "eigencount", "estimate_lambda_k",
+    "LambdaKEstimate", "chebyshev_moments", "count_curve", "estimate_lambda_k",
     "FeatureMatrix", "RandomSignals", "build_features", "generate_signals",
-    "pairwise_distance",
     "KmeansConfig", "Labeling", "kmeans", "labels_to_indicators",
     "CgInfo", "ClusterResult", "InterpolationConfig", "SamplingSet", "assign",
-    "draw_sampling", "interpolate", "interpolate_all",
+    "draw_sampling", "interpolate_all",
     "CscParams", "DegenerateClusteringError", "default_num_samples",
     "default_num_signals", "run_csc", "run_sc_baseline",
     "MetricReport", "SbmConfig", "adjusted_rand_index", "critical_epsilon",

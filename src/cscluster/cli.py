@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     clu.add_argument("--p", type=int, default=50, help="polynomial filter order (default 50)")
     clu.add_argument("--gamma", type=float, default=1e-3, help="interpolation regularization (default 1e-3)")
     clu.add_argument("--lambda-k", type=float, dest="lambda_k",
-                     help="cut-off eigenvalue override: skips the eigencount estimation stage")
+                     help="cut-off eigenvalue override: skips the cut-off estimation")
     clu.add_argument("--seed", type=int, default=0)
     clu.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="csv: labels CSV plus .diag.json sidecar; json: one combined JSON file")

@@ -91,41 +91,3 @@ def build_features(op: LaplacianOp, filt: PolyFilter, signals: RandomSignals) ->
         "seed": signals.seed,
     }
     return FeatureMatrix(rows=rows, normalized=True, zero_rows=zero_rows, provenance=provenance)
-
-
-def pairwise_distance(features: FeatureMatrix, i: int, j: int) -> float:
-    """Euclidean distance between the feature rows of nodes i and j."""
-    return float(np.linalg.norm(features.rows[i] - features.rows[j]))
-
-
-def save_features(features: FeatureMatrix, path) -> None:
-    """Debug dump: JSON header line + row-major float64 payload."""
-    import json
-    from pathlib import Path
-
-    header = {
-        "num_nodes": int(features.rows.shape[0]),
-        "num_signals": int(features.rows.shape[1]),
-        "normalized": features.normalized,
-        "zero_rows": features.zero_rows.tolist(),
-        "provenance": features.provenance,
-    }
-    with Path(path).open("wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        fh.write(np.ascontiguousarray(features.rows, dtype=np.float64).tobytes())
-
-
-def load_features(path) -> FeatureMatrix:
-    import json
-    from pathlib import Path
-
-    with Path(path).open("rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        payload = np.frombuffer(fh.read(), dtype=np.float64)
-    rows = payload.reshape(header["num_nodes"], header["num_signals"]).copy()
-    return FeatureMatrix(
-        rows=rows,
-        normalized=bool(header["normalized"]),
-        zero_rows=np.asarray(header["zero_rows"], dtype=np.int64),
-        provenance=header.get("provenance", {}),
-    )

@@ -15,16 +15,16 @@ recurrence T_{l+1}(y) = 2 y T_l(y) - T_{l-1}(y) with y = L - I = -S, where
 S = D^{-1/2} W D^{-1/2} is the prescaled adjacency the Laplacian operator
 stores, i.e. only sparse matrix products: the dense filter operator is never
 materialized. Each step costs one ``LaplacianOp.apply`` and runs in place on
-the fresh array it returns.
+the fresh array it returns. ``chebyshev_terms`` is that recurrence, the only
+one in the package: filtering and the eigenvalue-count moments of
+``spectrum`` both consume it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import sqrt
-from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -59,40 +59,6 @@ class PolyFilter:
         if np.isscalar(lam):
             return float(out)
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "cutoff": self.cutoff,
-            "order": self.order,
-            "damping": self.damping,
-            "kind": self.kind,
-            "coefficients": [float(c) for c in self.coeffs],
-        }
-
-    def to_json(self, *, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PolyFilter":
-        coeffs = np.asarray(data["coefficients"], dtype=np.float64)
-        return cls(
-            coeffs=coeffs,
-            cutoff=float(data["cutoff"]),
-            order=int(data["order"]),
-            damping=str(data["damping"]),
-            kind=str(data["kind"]),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PolyFilter":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(indent=2) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "PolyFilter":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def jackson_multipliers(order: int) -> np.ndarray:
@@ -142,6 +108,30 @@ def apply_filter(filt: PolyFilter, op: LaplacianOp, x: np.ndarray) -> np.ndarray
     return apply_filters([filt], op, x)[0]
 
 
+def chebyshev_terms(op: LaplacianOp, x: np.ndarray, order: int) -> Iterator[np.ndarray]:
+    """Yield T_0(y) x, T_1(y) x, ..., T_order(y) x for y = L - I.
+
+    The one operator recurrence of the package: T_{l+1} = 2 y T_l - T_{l-1},
+    each step one ``op.apply`` computed in place in the fresh array it
+    returns. A yielded term is never written afterwards, so a consumer may
+    keep the previous one; it must not write either.
+    """
+    yield x
+    if order < 1:
+        return
+    t_prev = x
+    t_cur = op.apply(x)
+    t_cur -= x  # (L - I) x
+    yield t_cur
+    for _ in range(2, order + 1):
+        t_next = op.apply(t_cur)
+        t_next -= t_cur
+        t_next *= 2.0
+        t_next -= t_prev
+        t_prev, t_cur = t_cur, t_next
+        yield t_cur
+
+
 def apply_filters(filters: Sequence[PolyFilter], op: LaplacianOp, x: np.ndarray) -> list[np.ndarray]:
     """Apply several filters of one order to the same signals from a single
     Chebyshev recurrence: the cost is that of one ``apply_filter`` (order
@@ -152,21 +142,12 @@ def apply_filters(filters: Sequence[PolyFilter], op: LaplacianOp, x: np.ndarray)
     if not filters or len({f.coeffs.size for f in filters}) != 1:
         raise ValueError("apply_filters needs at least one filter, all of the same order")
     C = np.stack([f.coeffs for f in filters])
-    outs = [c[0] * x for c in C]
-    if C.shape[1] > 1:
-        t_prev = x
-        t_cur = op.apply(x)
-        t_cur -= x  # (L - I) x
-        for l in range(1, C.shape[1]):
-            if l > 1:
-                # T_{l+1} = 2 (L - I) T_l - T_{l-1}, in the fresh array op.apply returns
-                t_next = op.apply(t_cur)
-                t_next -= t_cur
-                t_next *= 2.0
-                t_next -= t_prev
-                t_prev, t_cur = t_cur, t_next
-            for out, c in zip(outs, C):
-                out += c[l] * t_cur
+    terms = chebyshev_terms(op, x, C.shape[1] - 1)
+    t0 = next(terms)
+    outs = [c[0] * t0 for c in C]
+    for l, t in enumerate(terms, start=1):
+        for out, c in zip(outs, C):
+            out += c[l] * t
     return outs
 
 

@@ -44,7 +44,12 @@ def default_num_signals(n: int) -> int:
 class CscParams:
     """Pipeline parameters; ``None`` means "derive the default".
 
-    ``lambda_k`` skips the eigencount estimation stage when provided.
+    ``k`` clusters; ``n`` sampled nodes (2k ln k); ``d`` random signals
+    (4 ln n); ``p`` the order of every Chebyshev filter; ``gamma`` the weight
+    of the high-pass regularizer in the interpolation, solved by CG to
+    ``solver_tol`` within ``solver_max_iters`` steps; ``seed`` the master seed
+    of every stage. ``lambda_k`` skips the cut-off estimation when provided.
+    The filters are Jackson-damped and the signals Gaussian.
     """
 
     k: int
@@ -54,11 +59,6 @@ class CscParams:
     gamma: float = 1e-3
     seed: int = 0
     lambda_k: float | None = None
-    damping: str = "jackson"
-    distribution: str = "gaussian"
-    probe_signals: int | None = None
-    probe_max_steps: int = 20
-    probe_refine: bool = False
     solver_tol: float = 1e-6
     solver_max_iters: int = 1000
     kmeans: KmeansConfig | None = field(default=None, repr=False)
@@ -91,11 +91,6 @@ class CscParams:
             "gamma": self.gamma,
             "seed": self.seed,
             "lambda_k": self.lambda_k,
-            "damping": self.damping,
-            "distribution": self.distribution,
-            "probe_signals": self.probe_signals,
-            "probe_max_steps": self.probe_max_steps,
-            "probe_refine": self.probe_refine,
             "solver_tol": self.solver_tol,
             "solver_max_iters": self.solver_max_iters,
         }
@@ -113,7 +108,8 @@ class CscParams:
 def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
     """Compressive clustering of the graph behind ``op`` into params.k groups.
 
-    Stages: (1) cut-off estimation by eigencount dichotomy, (2) damped
+    Stages: (1) cut-off estimation from the eigenvalue count curve of one
+    p-step Chebyshev recurrence on 2 ceil(ln N) probe signals, (2) damped
     low-pass design at the estimate, (3) random signal generation,
     (4) filtering + row normalization, (5) uniform node sampling,
     (6) k-means on the sampled feature rows, (7) interpolation of the k
@@ -131,36 +127,28 @@ def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
         lam = float(prm.lambda_k)
         lambda_source = "override"
         probe_iterations = 0
-        probe_refused = 0
+        probe_count = probe_count_se = None
         lambda_warning = False
     else:
-        est = estimate_lambda_k(
-            op,
-            prm.k,
-            order=prm.p,
-            num_signals=prm.probe_signals,
-            rng=substream(prm.seed, "probe"),
-            max_steps=prm.probe_max_steps,
-            refine=prm.probe_refine,
-        )
+        est = estimate_lambda_k(op, prm.k, order=prm.p, rng=substream(prm.seed, "probe"))
         lam = est.lambda_k_hat
         lambda_source = "estimated"
-        probe_iterations = est.iterations
-        probe_refused = est.refused
+        probe_iterations = 1
+        probe_count, probe_count_se = est.count, est.count_se
         lambda_warning = est.warning
         if est.warning:
-            warnings.append("lambda_k bracket fallback")
+            warnings.append("lambda_k fallback: no count plateau at k")
     timings["probe"] = time.perf_counter() - t0
 
     # 2. filters
     t0 = time.perf_counter()
-    lowpass = design_lowpass(lam, prm.p, damping=prm.damping)
+    lowpass = design_lowpass(lam, prm.p)
     highpass = matched_highpass(lowpass)
     timings["design"] = time.perf_counter() - t0
 
     # 3-4. random signals -> features
     t0 = time.perf_counter()
-    signals = generate_signals(N, prm.d, prm.distribution, substream(prm.seed, "signals"))
+    signals = generate_signals(N, prm.d, seed=substream(prm.seed, "signals"))
     timings["signals"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     feats = build_features(op, lowpass, signals)
@@ -213,7 +201,10 @@ def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
         "lambda_source": lambda_source,
         "lambda_warning": lambda_warning,
         "probe_iterations": probe_iterations,
-        "probe_refused": probe_refused,
+        "probe_count": probe_count,
+        "probe_count_se": probe_count_se,
+        # no probe is refused any more; perfbench still reads the key
+        "probe_refused": 0,
         "kmeans_inertia": labeling.inertia,
         "kmeans_iterations": labeling.iterations_run,
         "solver_iterations": info.iterations.tolist(),

@@ -27,7 +27,6 @@ __all__ = [
     "InterpolationConfig",
     "CgInfo",
     "draw_sampling",
-    "interpolate",
     "interpolate_all",
     "assign",
 ]
@@ -186,20 +185,6 @@ def interpolate_all(
             int(active.sum()), k, cfg.solver_max_iters,
         )
     return X, CgInfo(iterations=converged_at, residuals=residuals, converged=converged)
-
-
-def interpolate(
-    op: LaplacianOp,
-    cfg: InterpolationConfig,
-    sampling: SamplingSet,
-    reduced: np.ndarray,
-) -> tuple[np.ndarray, CgInfo]:
-    """Lift one reduced vector of length n back to all N nodes."""
-    reduced = np.asarray(reduced, dtype=np.float64)
-    if reduced.ndim != 1:
-        raise ValueError("interpolate expects a single reduced vector; use interpolate_all for blocks")
-    X, info = interpolate_all(op, cfg, sampling, reduced[:, None])
-    return X[:, 0], info
 
 
 def assign(soft: np.ndarray, *, return_info: bool = False):

@@ -19,7 +19,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -363,15 +363,26 @@ def sweep(
             writer.writeheader()
             fh.flush()
 
-        def record(completed: Iterable[dict[str, Any]]) -> None:
-            for row in completed:
-                writer.writerow(row)
-                fh.flush()
-                rows.append(row)
+        def record(row: dict[str, Any]) -> None:
+            writer.writerow(row)
+            fh.flush()
+            rows.append(row)
 
         if threads > 1 and len(pending) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                record(pool.map(_execute_run, pending))
+                futures = [pool.submit(_execute_run, r) for r in pending]
+                try:
+                    for f in futures:
+                        record(f.result())
+                finally:
+                    # after an interrupt: drop the runs not yet started, and
+                    # keep the row of every run that finished
+                    for f in futures:
+                        f.cancel()
+                    for f in futures[len(rows):]:
+                        if not f.cancelled() and f.exception() is None:
+                            record(f.result())
         else:
-            record(_execute_run(r) for r in pending)
+            for r in pending:
+                record(_execute_run(r))
     return rows

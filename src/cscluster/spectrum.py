@@ -1,56 +1,54 @@
-"""Stochastic eigenvalue counting and dichotomic cut-off estimation.
+"""Cut-off estimation from the Chebyshev moments of one recurrence.
 
-The count of Laplacian eigenvalues below a probe frequency equals the trace
-of the ideal low-pass operator at that frequency; filtering a handful of
-random Gaussian signals gives a Hutchinson-style estimate of it without any
-eigendecomposition. Bisection on the probe frequency then locates the k-th
-eigenvalue well enough to parameterize the feature filter.
+The count of Laplacian eigenvalues below a frequency lam equals the trace of
+the ideal low-pass operator at lam; for random Gaussian signals r_i of
+variance 1/d, sum_i r_i^T h(L) r_i is a Hutchinson estimate of trace h(L)
+that needs no eigendecomposition. With y = L - I and h a Chebyshev series
+sum_l c_l T_l(y), each term r^T T_l(y) r is a moment mu_l of the signal, and
+one recurrence of p Laplacian applications gives every moment up to 2p:
+
+    mu_0 = ||r||^2,  mu_1 = <r, T_1 r>,
+    mu_2l = 2 ||T_l r||^2 - mu_0,  mu_2l+1 = 2 <T_l+1 r, T_l r> - mu_1.
+
+The count at any lam is then the dot product of the moments with the
+coefficients of the degree-2p damped low-pass at lam, so the whole count
+curve over (0, 2), and its standard error from the spread across signals,
+costs p applications (Di Napoli, Polizzi & Saad, arXiv:1308.4275; Weisse et
+al., Rev. Mod. Phys. 78, 275). The cut-off is read off that curve: the
+middle of the flat stretch of the curve whose count is nearest k.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .filters import apply_filters, design_lowpass
+from .filters import chebyshev_terms, design_lowpass
 from .graph import LaplacianOp
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_FILTER_ORDER = 50
-DEFAULT_MAX_STEPS = 20
-_REFINE_WIDTH = 0.01
-# largest count rise, as a fraction of k, across the acceptance window of a hit
-MAX_WINDOW_RISE = 0.3
+# interior points of (0, 2) on which the count curve is read
+GRID_POINTS = 800
+# a rise of the count beyond this many standard errors is not noise
+TOL_SE = 3.0
+# a rise below one eigenvalue is flat, whatever the standard error
+TOL_FLOOR = 0.5
 
-
-@dataclass
-class EigencountEstimate:
-    lam: float
-    count: float  # real-valued before rounding
-    num_signals: int
-    filter_order: int
-
-    @property
-    def rounded(self) -> int:
-        return _round_half_up(self.count)
+_GRID = np.linspace(0.0, 2.0, GRID_POINTS + 2)[1:-1]
 
 
 @dataclass
 class LambdaKEstimate:
     lambda_k_hat: float
-    iterations: int
-    trace: list[tuple[float, float]]  # (probe frequency, raw count)
-    warning: bool = False  # bracket fallback: no hit at k was accepted
-    refused: int = 0  # hits at k refused for lying inside a filter transition band
-
-
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
+    count: float  # eigenvalue count at lambda_k_hat
+    count_se: float  # its standard error across the probe signals
+    warning: bool = False  # no flat stretch of the count curve at k
 
 
 def default_probe_signals(num_nodes: int) -> int:
@@ -58,68 +56,75 @@ def default_probe_signals(num_nodes: int) -> int:
     return 2 * int(math.ceil(math.log(max(num_nodes, 2))))
 
 
-def _transition_halfwidth(lam: float, order: int) -> float:
+def _transition_halfwidth(lam: np.ndarray, order: int) -> np.ndarray:
     """Half the Jackson kernel width at ``lam``: 0.5 * sin(theta) * pi / (order + 2)
     with theta = arccos(lam - 1), the frequency resolution of an order-``order``
     damped low-pass around its cut-off."""
-    return 0.5 * math.sqrt(max(lam * (2.0 - lam), 0.0)) * math.pi / (order + 2)
+    return 0.5 * np.sqrt(np.maximum(lam * (2.0 - lam), 0.0)) * np.pi / (order + 2)
 
 
-def _resolve_num_signals(num_nodes: int, num_signals: int | None) -> int:
-    ds = num_signals if num_signals is not None else default_probe_signals(num_nodes)
-    if ds < 1:
-        raise ValueError("num_signals must be >= 1")
-    return ds
+def chebyshev_moments(op: LaplacianOp, signals: np.ndarray, order: int) -> np.ndarray:
+    """Per-signal moments mu_0 .. mu_2order of y = L - I, shape (2 order + 1, d),
+    from ``order`` Laplacian applications to the signal block."""
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    mu = np.empty((2 * order + 1, signals.shape[1]))
+    terms = chebyshev_terms(op, signals, order)
+    prev = next(terms)
+    mu[0] = np.einsum("ij,ij->j", prev, prev)
+    for l, cur in enumerate(terms):
+        # cur is T_{l+1} r, prev is T_l r
+        cross = np.einsum("ij,ij->j", cur, prev)
+        mu[2 * l + 1] = cross if l == 0 else 2.0 * cross - mu[1]
+        mu[2 * l + 2] = 2.0 * np.einsum("ij,ij->j", cur, cur) - mu[0]
+        prev = cur
+    return mu
 
 
-def _draw_signals(num_nodes: int, num_signals: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((num_nodes, num_signals)) / np.sqrt(num_signals)
+def _lowpass_rows(lams: np.ndarray, degree: int) -> np.ndarray:
+    return np.stack([design_lowpass(float(lam), degree).coeffs for lam in lams])
 
 
-def _filtered_energies(
-    op: LaplacianOp,
-    lams: Sequence[float],
-    order: int,
-    signals: np.ndarray,
-    apply_factory: Callable[[float], Callable[[np.ndarray], np.ndarray]] | None,
-) -> list[float]:
-    """sum_i ||h_lam(L) r_i||^2 for each probe frequency, on the same signals.
-
-    Without ``apply_factory`` all frequencies share one Chebyshev recurrence,
-    so the cost is ``order`` Laplacian applications however many there are.
-    """
-    if apply_factory is not None:
-        filtered = [apply_factory(lam)(signals) for lam in lams]
-    else:
-        filters = [design_lowpass(min(lam, 2.0 - 1e-12), order, damping="jackson") for lam in lams]
-        filtered = apply_filters(filters, op, signals)
-    return [float(np.sum(f * f)) for f in filtered]
+@functools.lru_cache(maxsize=4)
+def _grid_rows(order: int) -> np.ndarray:
+    """Degree-2 ``order`` low-pass coefficients at every grid point, built once per order."""
+    rows = _lowpass_rows(_GRID, 2 * order)
+    rows.flags.writeable = False
+    return rows
 
 
-def eigencount(
-    op: LaplacianOp,
-    lam: float,
-    *,
-    order: int = DEFAULT_FILTER_ORDER,
-    num_signals: int | None = None,
-    rng: np.random.Generator,
-    apply_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> EigencountEstimate:
-    """Estimate #{eigenvalues <= lam} from filtered random signals.
+def _counts(rows: np.ndarray, moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Count and its standard error at each row's frequency. Signal i alone
+    estimates the count as d * rows @ mu_i; the count is their mean."""
+    per_signal = rows @ moments
+    return per_signal.sum(axis=1), math.sqrt(moments.shape[1]) * per_signal.std(axis=1, ddof=1)
 
-    Signals have i.i.d. Gaussian entries of variance 1/num_signals, so for an
-    exact projector P the estimator sum_i ||P r_i||^2 is unbiased for
-    trace(P). The polynomial filter introduces a bias of order e_m * N,
-    accepted by design. ``apply_fn`` substitutes the filtering operation
-    (test hook for the exact-projector double).
-    """
-    n = op.num_nodes
-    if not 0.0 < lam <= 2.0:
-        raise ValueError(f"probe frequency must lie in (0, 2], got {lam}")
-    ds = _resolve_num_signals(n, num_signals)
-    factory = (lambda _lam: apply_fn) if apply_fn is not None else None  # noqa: E731
-    (count,) = _filtered_energies(op, [lam], order, _draw_signals(n, ds, rng), factory)
-    return EigencountEstimate(lam=float(lam), count=count, num_signals=ds, filter_order=order)
+
+def count_curve(moments: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalue count #{lambda_j <= lam} and its standard error at each
+    frequency in ``lams`` (inside (0, 2)), from ``chebyshev_moments`` of at
+    least two signals. The count is that of the degree-2p damped low-pass,
+    trace h_2p(L)."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
+    return _counts(_lowpass_rows(lams, moments.shape[0] - 1), moments)
+
+
+def _plateaus(flat: np.ndarray, count: np.ndarray, tol: np.ndarray) -> list[tuple[int, int]]:
+    """(first, last) grid index of each run of flat points. A run ends where
+    the points stop being flat, or where its count has moved by more than tol
+    since its first point: a run of small rises through a cluster of close
+    eigenvalues is not one plateau."""
+    runs: list[tuple[int, int]] = []
+    first = None
+    for i in range(len(flat)):
+        if first is not None and (not flat[i] or abs(count[i] - count[first]) > tol[i]):
+            runs.append((first, i - 1))
+            first = None
+        if first is None and flat[i]:
+            first = i
+    if first is not None:
+        runs.append((first, len(flat) - 1))
+    return runs
 
 
 def estimate_lambda_k(
@@ -129,87 +134,48 @@ def estimate_lambda_k(
     order: int = DEFAULT_FILTER_ORDER,
     num_signals: int | None = None,
     rng: np.random.Generator,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    refine: bool = False,
-    apply_factory: Callable[[float], Callable[[np.ndarray], np.ndarray]] | None = None,
 ) -> LambdaKEstimate:
-    """Bisection on (0, 2]: stop at the first midpoint whose count is k on a plateau.
+    """Place the cut-off in the gap above the k-th eigenvalue from one
+    recurrence of ``order`` Laplacian applications.
 
-    Maintains the bracket [lo, hi] with count(lo) < k <= count(hi). Each probe
-    draws fresh signals and counts them at lam and at lam -/+ delta, with
-    delta half the Jackson kernel width at lam, from one shared recurrence
-    (a probe costs ``order`` Laplacian applications). A probe whose rounded
-    count is k is accepted only if the count rises by at most
-    ``MAX_WINDOW_RISE * k`` across that window. A steeper rise means lam sits in the transition band
-    of the filter around some eigenvalue cluster, where a partially passed
-    cluster can read as k without any spectral gap at k; such a hit is
-    refused and bisection continues away from the steeper half of the
-    window. When no hit is accepted within ``max_steps`` the final bracket
-    midpoint is returned with ``warning=True``. ``refine`` adds one extra
-    downward probe, under the same acceptance rule, when the accepting
-    bracket is wider than 0.01. ``apply_factory`` substitutes the filtering
-    at each of the three frequencies (test hook); it is called on the same
-    signals for all three. The trace holds one (lam, count at lam) row per
-    probe.
+    The count curve and its standard error se come from the moments of
+    ``num_signals`` (default 2 ceil(ln N)) Gaussian signals on a grid of
+    ``GRID_POINTS`` points. With tol = max(``TOL_FLOOR``, ``TOL_SE`` * se), a
+    grid point is flat when the count rises by at most tol across one Jackson
+    kernel width of the degree-2 ``order`` low-pass on either side of it.
+    Runs of flat points are cut where the count has moved by more than tol
+    since the run began. Among these runs, the one whose median count is
+    nearest k (then the longer one) gives the estimate: its midpoint.
+    ``warning`` is set when that median lies further than tol from k, or
+    when no point is flat, in which case the grid point whose count is
+    nearest k is returned.
     """
     n = op.num_nodes
     if not 1 <= k < n:
         raise ValueError(f"k={k} out of range for N={n}")
-    ds = _resolve_num_signals(n, num_signals)
-    lo, hi = 0.0, 2.0
-    trace: list[tuple[float, float]] = []
-
-    def probe(lam: float) -> tuple[float, float, float]:
-        delta = _transition_halfwidth(lam, order)
-        # near 0 the width shrinks only like sqrt(lam): keep the window in (0, 2]
-        lams = (max(lam - delta, 0.5 * lam), lam, min(lam + delta, 2.0))
-        below, at, above = _filtered_energies(op, lams, order, _draw_signals(n, ds, rng), apply_factory)
-        trace.append((float(lam), at))
-        return below, at, above
-
-    def accepted(counts: tuple[float, float, float]) -> bool:
-        below, at, above = counts
-        return _round_half_up(at) == k and above - below <= MAX_WINDOW_RISE * k
-
-    refused = 0
-    for step in range(max_steps):
-        mid = 0.5 * (lo + hi)
-        counts = probe(mid)
-        if accepted(counts):
-            lam_hat = mid
-            if refine and (hi - lo) > _REFINE_WIDTH:
-                mid2 = 0.5 * (lo + mid)
-                if accepted(probe(mid2)):
-                    lam_hat = mid2
-            return LambdaKEstimate(lambda_k_hat=lam_hat, iterations=len(trace), trace=trace, refused=refused)
-        below, at, above = counts
-        rounded = _round_half_up(at)
-        if rounded == k:
-            # refused hit: the plateau, if any, lies on the flatter side
-            refused += 1
-            go_down = above - at > at - below
-        else:
-            go_down = rounded > k
-        if go_down:
-            hi = mid
-        else:
-            lo = mid
-    lam_hat = 0.5 * (lo + hi)
-    logger.warning(
-        "eigencount dichotomy exhausted %d steps without an accepted hit at k=%d "
-        "(%d hit(s) refused inside a filter transition band); returning bracket midpoint %.6f",
-        max_steps, k, refused, lam_hat,
-    )
-    return LambdaKEstimate(lambda_k_hat=lam_hat, iterations=len(trace), trace=trace, warning=True, refused=refused)
-
-
-def trace_to_csv(estimate: LambdaKEstimate, path) -> None:
-    """Dump the (probe frequency, count) dichotomy trace as two-column CSV."""
-    import csv
-    from pathlib import Path
-
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "count"])
-        for lam, count in estimate.trace:
-            writer.writerow([repr(lam), repr(count)])
+    ds = num_signals if num_signals is not None else default_probe_signals(n)
+    if ds < 2:
+        raise ValueError("num_signals must be >= 2")
+    signals = rng.standard_normal((n, ds)) / np.sqrt(ds)
+    moments = chebyshev_moments(op, signals, order)
+    count, se = _counts(_grid_rows(order), moments)
+    tol = np.maximum(TOL_FLOOR, TOL_SE * se)
+    width = 2.0 * _transition_halfwidth(_GRID, 2 * order)
+    rise = np.interp(_GRID + width, _GRID, count) - np.interp(_GRID - width, _GRID, count)
+    runs = _plateaus(rise <= tol, count, tol)
+    if runs:
+        misses = [abs(float(np.median(count[first:last + 1])) - k) for first, last in runs]
+        best = min(range(len(runs)), key=lambda i: (misses[i], runs[i][0] - runs[i][1]))
+        first, last = runs[best]
+        lam_hat = 0.5 * (_GRID[first] + _GRID[last])
+        warning = misses[best] > tol[(first + last) // 2]
+    else:
+        lam_hat = _GRID[np.argmin(np.abs(count - k))]
+        warning = True
+    (at,), (at_se,) = count_curve(moments, lam_hat)
+    if warning:
+        logger.warning(
+            "no flat count curve at k=%d; lambda_k_hat %.6f counts %.2f +- %.2f",
+            k, lam_hat, at, at_se,
+        )
+    return LambdaKEstimate(lambda_k_hat=float(lam_hat), count=float(at), count_se=float(at_se), warning=bool(warning))

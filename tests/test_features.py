@@ -10,9 +10,7 @@ from cscluster import (
     design_lowpass,
     generate_signals,
     laplacian_op,
-    pairwise_distance,
 )
-from cscluster.features import load_features, save_features
 from cscluster.pipeline import default_num_samples, default_num_signals
 from helpers import cliques_graph
 
@@ -58,8 +56,8 @@ class TestBuildFeatures:
         for c in range(3):
             rows = feats.rows[truth == c]
             assert np.abs(rows - rows[0]).max() < 1e-4
-        assert pairwise_distance(feats, 0, 1) < 1e-4
-        assert pairwise_distance(feats, 0, 10) > 0.5
+        assert np.linalg.norm(feats.rows[0] - feats.rows[1]) < 1e-4
+        assert np.linalg.norm(feats.rows[0] - feats.rows[10]) > 0.5
 
     def test_distance_band_ideal_projector(self, sbm500):
         # JL-style check with the exact projector double, modest failure budget
@@ -92,8 +90,8 @@ class TestBuildFeatures:
         f2 = build_features(op, filt, rotated)
         idx = rng.choice(op.num_nodes, size=(50, 2))
         for i, j in idx:
-            d1 = pairwise_distance(f1, int(i), int(j))
-            d2 = pairwise_distance(f2, int(i), int(j))
+            d1 = np.linalg.norm(f1.rows[i] - f1.rows[j])
+            d2 = np.linalg.norm(f2.rows[i] - f2.rows[j])
             assert abs(d1 - d2) < 1e-10
 
     def test_zero_row_flagged_and_left_zero(self, k3_graph):
@@ -121,28 +119,3 @@ class TestBuildFeatures:
         assert feats.provenance["filter"]["cutoff"] == 0.9
         assert feats.provenance["seed"] == 42
         assert feats.normalized
-
-
-class TestPairwiseDistance:
-    def test_identity_symmetry_triangle(self, sbm500):
-        op = sbm500["op"]
-        feats = build_features(op, design_lowpass(0.45, 30), generate_signals(op.num_nodes, 10, "gaussian", 0))
-        rng = np.random.default_rng(1)
-        for _ in range(25):
-            i, j, l = (int(x) for x in rng.integers(0, op.num_nodes, 3))
-            assert pairwise_distance(feats, i, i) == 0.0
-            assert pairwise_distance(feats, i, j) == pairwise_distance(feats, j, i)
-            assert pairwise_distance(feats, i, l) <= (
-                pairwise_distance(feats, i, j) + pairwise_distance(feats, j, l) + 1e-12
-            )
-
-
-def test_feature_dump_round_trip(tmp_path, k3_graph):
-    op = laplacian_op(k3_graph)
-    feats = build_features(op, design_lowpass(0.8, 20), generate_signals(3, 5, "gaussian", 9))
-    path = tmp_path / "features.bin"
-    save_features(feats, path)
-    loaded = load_features(path)
-    assert np.array_equal(loaded.rows, feats.rows)
-    assert loaded.normalized == feats.normalized
-    assert loaded.provenance["seed"] == 9

@@ -17,7 +17,7 @@ from cscluster import (
     matched_highpass,
     psd_ridge,
 )
-from cscluster.filters import apply_filters
+from cscluster.filters import apply_filters, chebyshev_terms
 from helpers import random_graph
 
 
@@ -75,17 +75,6 @@ class TestDesign:
         assert g[0] == pytest.approx(1.0)
         assert np.all(np.diff(g) < 0)  # damping decays with the order
         assert g[-1] > 0
-
-    def test_json_round_trip(self, tmp_path):
-        filt = design_lowpass(0.7321, 33, damping="jackson")
-        path = tmp_path / "filter.json"
-        filt.save(path)
-        loaded = PolyFilter.load(path)
-        assert loaded.cutoff == filt.cutoff
-        assert loaded.order == filt.order
-        assert loaded.damping == filt.damping
-        assert loaded.kind == filt.kind
-        assert np.array_equal(loaded.coeffs, filt.coeffs)
 
 
 class TestApply:
@@ -173,6 +162,24 @@ class TestApply:
         build_features(op, filters[0], signals)
         assert np.array_equal(signals.matrix, matrix)
         assert np.array_equal(op.graph.weights, weights)
+
+    def test_terms_match_dense_and_stay_unwritten(self):
+        # T_l(L - I) x for l = 0..order, each term left as it was yielded
+        g = random_graph(30, 0.2, np.random.default_rng(4))
+        op = laplacian_op(g)
+        x = np.random.default_rng(1).standard_normal((30, 2))
+        terms, copies = [], []
+        for t in chebyshev_terms(op, x, 7):
+            terms.append(t)
+            copies.append(t.copy())
+        Y = op.dense() - np.eye(30)
+        expect = [x, Y @ x]
+        while len(expect) < 8:
+            expect.append(2.0 * Y @ expect[-1] - expect[-2])
+        assert len(terms) == 8 and terms[0] is x
+        for t, c, e in zip(terms, copies, expect):
+            assert np.array_equal(t, c)
+            np.testing.assert_allclose(t, e, atol=1e-10)
 
     def test_dimension_mismatch(self, k3_graph):
         op = laplacian_op(k3_graph)

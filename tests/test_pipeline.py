@@ -8,6 +8,7 @@ from cscluster import (
     DegenerateClusteringError,
     KmeansConfig,
     adjusted_rand_index,
+    design_lowpass,
     laplacian_op,
     run_csc,
     run_sc_baseline,
@@ -68,6 +69,8 @@ class TestRunCsc:
         assert len(d["solver_iterations"]) == 4
         assert len(d["solver_residuals"]) == 4
         assert set(d["timings"]) >= {"probe", "design", "signals", "filter", "sampling", "kmeans", "interpolate", "total"}
+        assert d["probe_iterations"] == 1
+        assert d["probe_count"] == pytest.approx(4.0, abs=3.0 * d["probe_count_se"])
         assert result.soft.shape == (32, 4)
 
     def test_reproducible_json(self):
@@ -91,6 +94,7 @@ class TestRunCsc:
         assert d["lambda_source"] == "override"
         assert d["probe_iterations"] == 0
         assert d["probe_refused"] == 0
+        assert d["probe_count"] is None and d["probe_count_se"] is None
         assert d["lambda_k_hat"] == 0.6
         assert adjusted_rand_index(truth, result.labels) == 1.0
 
@@ -114,17 +118,19 @@ class TestRunCsc:
             run_csc(op, CscParams(k=3, seed=0))
 
     def test_lambda_warning_marks_run(self):
-        # k = 2 on a single clique: the spectrum is 0 then 12/11 eleven times,
-        # so there is no gap at k = 2. Noisy counts do read 2 inside the
-        # filter's transition band below 12/11 (at this seed at lambda =
-        # 1.0625); the estimator must refuse that hit and fall back with a
-        # warning mark
-        g, _ = cliques_graph(1, 12)
-        result = run_csc(laplacian_op(g), CscParams(k=2, seed=3, probe_max_steps=6))
-        d = result.diagnostics
+        # k = 5 on a single 40-clique: the spectrum is 0 then 40/39 39 times,
+        # so the count curve is flat only at 1 and at 40, never near 5
+        g, _ = cliques_graph(1, 40)
+        d = run_csc(laplacian_op(g), CscParams(k=5, seed=3)).diagnostics
         assert d["lambda_warning"] is True
-        assert "lambda_k bracket fallback" in d["warnings"]
-        assert d["probe_refused"] >= 1
+        assert "lambda_k fallback: no count plateau at k" in d["warnings"]
+        assert d["probe_iterations"] == 1
+        assert d["probe_refused"] == 0
+        # k = 2 on a 12-clique (0, then 12/11 eleven times) has no gap either;
+        # whatever the estimate, the low-pass must stop the 12/11 cluster
+        g, _ = cliques_graph(1, 12)
+        d = run_csc(laplacian_op(g), CscParams(k=2, seed=3)).diagnostics
+        assert design_lowpass(d["lambda_k_hat"], 50).evaluate(12 / 11) <= 0.1
 
     def test_zero_degree_nodes_interpolated(self):
         # isolated node: excluded from sampling, still labeled

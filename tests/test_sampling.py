@@ -12,7 +12,6 @@ from cscluster import (
     dense_eig,
     design_lowpass,
     draw_sampling,
-    interpolate,
     interpolate_all,
     laplacian_op,
     matched_highpass,
@@ -97,7 +96,7 @@ class TestInterpolate:
         op = laplacian_op(k3_graph)
         cfg = _interp_cfg(order=20, cutoff=1.0, gamma=1e6)
         sampling = draw_sampling(3, 2, 0)
-        x, info = interpolate(op, cfg, sampling, np.zeros(2))
+        x, info = interpolate_all(op, cfg, sampling, np.zeros((2, 1)))
         assert np.all(x == 0.0)
         assert bool(np.all(info.converged))
         assert info.max_iterations == 0
@@ -112,7 +111,8 @@ class TestInterpolate:
         sampling = draw_sampling(N, 60, 8)
         rng = np.random.default_rng(0)
         c_r = rng.standard_normal(60)
-        x, info = interpolate(op, cfg, sampling, c_r)
+        X, info = interpolate_all(op, cfg, sampling, c_r[:, None])
+        x = X[:, 0]
         assert bool(np.all(info.converged))
         mask = np.zeros(N)
         mask[sampling.indices] = 1.0
@@ -128,7 +128,8 @@ class TestInterpolate:
         sampling = draw_sampling(op.num_nodes, 50, 9)
         rng = np.random.default_rng(1)
         c_r = rng.standard_normal(50)
-        x, info = interpolate(op, cfg, sampling, c_r)
+        X, info = interpolate_all(op, cfg, sampling, c_r[:, None])
+        x = X[:, 0]
         mask = np.zeros(op.num_nodes)
         mask[sampling.indices] = 1.0
         b = sampling.adjoint(c_r)
@@ -152,7 +153,8 @@ class TestInterpolate:
         sampling = draw_sampling(op.num_nodes, 50, 10)
         c_r = np.random.default_rng(2).standard_normal(50)
         with caplog.at_level("WARNING"):
-            x, info = interpolate(op, cfg, sampling, c_r)
+            X, info = interpolate_all(op, cfg, sampling, c_r[:, None])
+            x = X[:, 0]
         assert not bool(np.all(info.converged))
         assert info.residuals[0] > 0
         assert any("did not converge" in rec.message for rec in caplog.records)

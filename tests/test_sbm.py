@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -213,6 +214,41 @@ class TestSweep:
         assert [r["run_id"] for r in rows] == run_ids[2:]
         with out.open() as fh:
             assert [r["run_id"] for r in csv.DictReader(fh)] == run_ids
+
+    def test_interrupted_threaded_sweep_keeps_finished_rows(self, tmp_path, monkeypatch):
+        spec = self._tiny_spec()
+        spec["graph"]["epsilon"] = [0.02, 0.05, 0.1]
+        run_ids = [r["run_id"] for r in expand_sweep_spec(spec)]
+        out = tmp_path / "interrupted.csv"
+        real_run = cscluster.sbm._execute_run
+        lock = threading.Lock()
+        executed, returned = [], []
+        interrupt_at = 3
+
+        def flaky_run(run):
+            with lock:
+                executed.append(run["run_id"])
+                if len(executed) == interrupt_at:
+                    raise KeyboardInterrupt
+            row = real_run(run)
+            with lock:
+                returned.append(run["run_id"])
+            return row
+
+        monkeypatch.setattr(cscluster.sbm, "_execute_run", flaky_run)
+        with pytest.raises(KeyboardInterrupt):
+            sweep(spec, out, threads=2)
+        with out.open() as fh:
+            written = [r["run_id"] for r in csv.DictReader(fh)]
+        assert sorted(written) == sorted(returned)
+        assert len(written) >= 2
+
+        executed.clear()
+        interrupt_at = None
+        sweep(spec, out, threads=2)
+        assert sorted(executed) == sorted(set(run_ids) - set(written))
+        with out.open() as fh:
+            assert sorted(r["run_id"] for r in csv.DictReader(fh)) == sorted(run_ids)
 
     def test_force_restarts(self, tmp_path):
         out = tmp_path / "force.csv"
