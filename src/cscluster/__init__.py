@@ -3,9 +3,9 @@
 Approximate spectral clustering without eigendecomposition: polynomial
 low-pass filtering of a few random signals yields per-node feature vectors,
 k-means runs on a small uniform subsample of nodes, and the resulting
-cluster indicators are interpolated back to the full graph as bandlimited
-signals. An exact dense oracle, an SBM benchmark generator and evaluation
-metrics are included for verification at desk scale.
+cluster indicators are lifted back to the full graph by least squares in the
+span of the filtered signals. An exact dense oracle, an SBM benchmark
+generator and evaluation metrics are included for verification at desk scale.
 """
 
 from .graph import (
@@ -34,8 +34,6 @@ from .filters import (
     design_lowpass,
     error_split,
     jackson_multipliers,
-    matched_highpass,
-    psd_ridge,
 )
 from .spectrum import LambdaKEstimate, chebyshev_moments, count_curve, estimate_lambda_k
 from .features import (
@@ -45,14 +43,7 @@ from .features import (
     generate_signals,
 )
 from .kmeans import KmeansConfig, Labeling, kmeans, labels_to_indicators
-from .sampling import (
-    CgInfo,
-    InterpolationConfig,
-    SamplingSet,
-    assign,
-    draw_sampling,
-    interpolate_all,
-)
+from .sampling import SamplingSet, assign, draw_sampling, interpolate_all
 from .result import ClusterResult
 from .pipeline import (
     CscParams,
@@ -81,12 +72,11 @@ __all__ = [
     "spectral_clustering",
     "ErrorBudget", "PolyFilter", "ResolutionCheck", "apply_filter",
     "check_resolution_bound", "design_lowpass", "error_split",
-    "jackson_multipliers", "matched_highpass", "psd_ridge",
+    "jackson_multipliers",
     "LambdaKEstimate", "chebyshev_moments", "count_curve", "estimate_lambda_k",
     "FeatureMatrix", "RandomSignals", "build_features", "generate_signals",
     "KmeansConfig", "Labeling", "kmeans", "labels_to_indicators",
-    "CgInfo", "ClusterResult", "InterpolationConfig", "SamplingSet", "assign",
-    "draw_sampling", "interpolate_all",
+    "ClusterResult", "SamplingSet", "assign", "draw_sampling", "interpolate_all",
     "CscParams", "DegenerateClusteringError", "default_num_samples",
     "default_num_signals", "run_csc", "run_sc_baseline",
     "MetricReport", "SbmConfig", "adjusted_rand_index", "critical_epsilon",

@@ -25,11 +25,10 @@ _ZERO_ROW_TOL = 1e-300
 
 @dataclass
 class RandomSignals:
-    """N x d matrix of i.i.d. random entries: gaussian N(0, 1/d) or
-    bernoulli +-1/sqrt(d); either way E||column||^2 = N/d."""
+    """N x d matrix of i.i.d. Gaussian entries N(0, 1/d), so that
+    E||column||^2 = N/d."""
 
     matrix: np.ndarray
-    distribution: str
     seed: Any
 
     @property
@@ -39,9 +38,11 @@ class RandomSignals:
 
 @dataclass
 class FeatureMatrix:
-    """Per-node feature rows plus provenance of how they were produced."""
+    """Per-node feature rows, the filtered block they were normalized from,
+    and provenance of how they were produced."""
 
     rows: np.ndarray
+    filtered: np.ndarray
     normalized: bool
     zero_rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     provenance: dict[str, Any] = field(default_factory=dict)
@@ -50,29 +51,25 @@ class FeatureMatrix:
 def generate_signals(
     num_nodes: int,
     num_signals: int,
-    distribution: str = "gaussian",
     seed: int | np.random.Generator = 0,
 ) -> RandomSignals:
     """Draw the random signal matrix; reproducible for a given seed."""
     if num_signals < 1:
         raise ValueError("num_signals must be >= 1")
-    if distribution not in ("gaussian", "bernoulli"):
-        raise ValueError(f"unknown distribution {distribution!r}")
     rng = np.random.default_rng(seed)
-    if distribution == "gaussian":
-        matrix = rng.standard_normal((num_nodes, num_signals)) / np.sqrt(num_signals)
-    else:
-        matrix = (2.0 * rng.integers(0, 2, size=(num_nodes, num_signals)) - 1.0) / np.sqrt(num_signals)
+    matrix = rng.standard_normal((num_nodes, num_signals)) / np.sqrt(num_signals)
     seed_repr = seed if isinstance(seed, int) else None
-    return RandomSignals(matrix=matrix, distribution=distribution, seed=seed_repr)
+    return RandomSignals(matrix=matrix, seed=seed_repr)
 
 
 def build_features(op: LaplacianOp, filt: PolyFilter, signals: RandomSignals) -> FeatureMatrix:
     """Filter the signals and normalize each node's row to unit length.
 
-    Rows whose filtered norm underflows to zero are flagged, left as zero
-    vectors, and should be excluded from sampling (they carry no usable
-    geometry; interpolation still assigns them a label).
+    The unnormalized block F = h(L) R is kept as ``filtered``: the
+    interpolation lifts the labels in its span. Rows whose filtered norm
+    underflows to zero are flagged, left as zero vectors, and should be
+    excluded from sampling (they carry no usable geometry; interpolation
+    still assigns them a label).
     """
     if signals.num_signals == 1:
         logger.warning("single random signal: rank-1 embedding, distances are degenerate")
@@ -86,8 +83,7 @@ def build_features(op: LaplacianOp, filt: PolyFilter, signals: RandomSignals) ->
     rows = filtered / safe[:, None]
     rows[zero_rows] = 0.0
     provenance = {
-        "filter": {"cutoff": filt.cutoff, "order": filt.order, "damping": filt.damping, "kind": filt.kind},
-        "distribution": signals.distribution,
+        "filter": {"cutoff": filt.cutoff, "order": filt.order, "damping": filt.damping},
         "seed": signals.seed,
     }
-    return FeatureMatrix(rows=rows, normalized=True, zero_rows=zero_rows, provenance=provenance)
+    return FeatureMatrix(rows=rows, filtered=filtered, normalized=True, zero_rows=zero_rows, provenance=provenance)

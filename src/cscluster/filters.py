@@ -30,9 +30,6 @@ import numpy as np
 
 from .graph import LaplacianOp
 
-_RIDGE_FLOOR = 1e-8
-_RIDGE_GRID = 2001
-
 
 @dataclass
 class PolyFilter:
@@ -42,7 +39,6 @@ class PolyFilter:
     cutoff: float
     order: int
     damping: str  # "none" | "jackson"
-    kind: str  # "lowpass" | "highpass"
 
     def evaluate(self, lam: np.ndarray | float) -> np.ndarray | float:
         """Filter response at scalar or array frequencies in [0, 2]."""
@@ -84,22 +80,7 @@ def design_lowpass(cutoff: float, order: int, damping: str = "jackson") -> PolyF
     coeffs[1:] = -2.0 * np.sin(l * theta_c) / (np.pi * l)
     if damping == "jackson":
         coeffs = coeffs * jackson_multipliers(order)
-    return PolyFilter(coeffs=coeffs, cutoff=float(cutoff), order=order, damping=damping, kind="lowpass")
-
-
-def matched_highpass(lowpass: PolyFilter) -> PolyFilter:
-    """Complement filter with highpass(lam) + lowpass(lam) = 1 identically."""
-    if lowpass.kind != "lowpass":
-        raise ValueError("matched_highpass expects a lowpass filter")
-    coeffs = -lowpass.coeffs.copy()
-    coeffs[0] += 1.0
-    return PolyFilter(
-        coeffs=coeffs,
-        cutoff=lowpass.cutoff,
-        order=lowpass.order,
-        damping=lowpass.damping,
-        kind="highpass",
-    )
+    return PolyFilter(coeffs=coeffs, cutoff=float(cutoff), order=order, damping=damping)
 
 
 def apply_filter(filt: PolyFilter, op: LaplacianOp, x: np.ndarray) -> np.ndarray:
@@ -239,14 +220,3 @@ def check_resolution_bound(budget: ErrorBudget, v_min: float) -> ResolutionCheck
         lhs_max=lhs_max,
         bound=bound,
     )
-
-
-def psd_ridge(filt: PolyFilter, *, grid_points: int = _RIDGE_GRID) -> float:
-    """Shift making ``filt + ridge`` nonnegative on a dense frequency grid.
-
-    Damped high-pass designs can dip slightly below zero near lambda = 0;
-    the regularized interpolation system needs g(L) + ridge*I to stay PSD.
-    """
-    grid = np.linspace(0.0, 2.0, grid_points)
-    lo = float(np.min(filt.evaluate(grid)))
-    return max(0.0, -lo) + _RIDGE_FLOOR

@@ -16,7 +16,6 @@ class KmeansConfig:
     replicates: int = 20
     max_iters: int = 100
     tol: float = 1e-6  # relative inertia change
-    seeding: str = "kmeanspp"  # or "random"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -24,8 +23,6 @@ class KmeansConfig:
             raise ValueError("k must be >= 1")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if self.seeding not in ("kmeanspp", "random"):
-            raise ValueError(f"unknown seeding {self.seeding!r}")
 
 
 @dataclass
@@ -43,11 +40,9 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.maximum(pp + cc - 2.0 * points @ centroids.T, 0.0)
 
 
-def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator, seeding: str) -> np.ndarray:
+def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++: D^2 sampling."""
     q = points.shape[0]
-    if seeding == "random":
-        return points[rng.choice(q, size=k, replace=False)].copy()
-    # k-means++: D^2 sampling
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(q)]
     d2 = ((points - centroids[0]) ** 2).sum(axis=1)
@@ -93,12 +88,11 @@ def _lloyd(points, centroids, max_iters, tol):
     return labels, inertia, iters, history
 
 
-def kmeans(points: np.ndarray, cfg: KmeansConfig, *, init: np.ndarray | None = None) -> Labeling:
+def kmeans(points: np.ndarray, cfg: KmeansConfig) -> Labeling:
     """Best-inertia labeling over ``cfg.replicates`` seeded Lloyd runs.
 
     Deterministic under a fixed cfg.seed (replicates use independent spawned
-    streams, executed in order). ``init`` bypasses seeding with explicit
-    starting centroids and runs a single replicate.
+    streams, executed in order).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -107,18 +101,11 @@ def kmeans(points: np.ndarray, cfg: KmeansConfig, *, init: np.ndarray | None = N
     if q < cfg.k:
         raise ValueError(f"need at least k={cfg.k} points, got {q}")
 
-    if init is not None:
-        init = np.asarray(init, dtype=np.float64)
-        if init.shape != (cfg.k, points.shape[1]):
-            raise ValueError(f"init must have shape ({cfg.k}, {points.shape[1]})")
-        labels, inertia, iters, history = _lloyd(points, init.copy(), cfg.max_iters, cfg.tol)
-        return Labeling(labels=labels, inertia=inertia, iterations_run=iters, history=tuple(history))
-
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.replicates)
     best: Labeling | None = None
     for rep, ss in enumerate(streams):
         rng = np.random.default_rng(ss)
-        centroids = _seed_centroids(points, cfg.k, rng, cfg.seeding)
+        centroids = _seed_centroids(points, cfg.k, rng)
         labels, inertia, iters, history = _lloyd(points, centroids, cfg.max_iters, cfg.tol)
         if best is None or inertia < best.inertia:
             best = Labeling(labels=labels, inertia=inertia, iterations_run=iters, history=tuple(history))

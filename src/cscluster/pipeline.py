@@ -1,9 +1,11 @@
 """End-to-end compressive clustering: probe, filter, sample, cluster, lift.
 
-Stage defaults follow the usual parameterization n = 2k log k, d = 4 log n,
-p = 50, gamma = 1e-3 (natural logs, rounded up). All randomness derives from
-one master seed through named per-stage substreams, so runs are reproducible
-stage by stage.
+Stage defaults follow the usual parameterization n = 2k log k and p = 50,
+with d = max(4 log n, k + 10) random signals (natural logs, rounded up): the
+k + 10 floor oversamples span(U_k) as a randomized range finder does, since
+the same filtered block carries both the features and the least-squares lift
+of the labels. All randomness derives from one master seed through named
+per-stage substreams, so runs are reproducible stage by stage.
 """
 
 from __future__ import annotations
@@ -16,14 +18,18 @@ from typing import Any
 import numpy as np
 
 from ._rng import substream, substream_seed
-from .filters import design_lowpass, matched_highpass
+from .filters import design_lowpass
 from .graph import LaplacianOp
 from .kmeans import KmeansConfig, kmeans, labels_to_indicators
 from .oracle import DEFAULT_DENSE_CAP, EigenBasis, spectral_clustering
 from .result import ClusterResult
 from .features import build_features, generate_signals
-from .sampling import InterpolationConfig, assign, draw_sampling, interpolate_all
+from .sampling import assign, draw_sampling, interpolate_all
 from .spectrum import estimate_lambda_k
+
+
+# signals beyond k in the default d: the lift fits k indicators in span(F)
+SIGNAL_OVERSAMPLING = 10
 
 
 class DegenerateClusteringError(RuntimeError):
@@ -45,28 +51,25 @@ class CscParams:
     """Pipeline parameters; ``None`` means "derive the default".
 
     ``k`` clusters; ``n`` sampled nodes (2k ln k); ``d`` random signals
-    (4 ln n); ``p`` the order of every Chebyshev filter; ``gamma`` the weight
-    of the high-pass regularizer in the interpolation, solved by CG to
-    ``solver_tol`` within ``solver_max_iters`` steps; ``seed`` the master seed
-    of every stage. ``lambda_k`` skips the cut-off estimation when provided.
-    The filters are Jackson-damped and the signals Gaussian.
+    (max(4 ln n, k + SIGNAL_OVERSAMPLING)), whose filtered block gives the
+    features and spans the lift of the labels; ``p`` the order of every
+    Chebyshev filter; ``seed`` the master seed of every stage. ``lambda_k``
+    skips the cut-off estimation when provided. The filters are
+    Jackson-damped and the signals Gaussian.
     """
 
     k: int
     n: int | None = None
     d: int | None = None
     p: int = 50
-    gamma: float = 1e-3
     seed: int = 0
     lambda_k: float | None = None
-    solver_tol: float = 1e-6
-    solver_max_iters: int = 1000
     kmeans: KmeansConfig | None = field(default=None, repr=False)
 
     def resolve(self, num_nodes: int) -> "CscParams":
         """Fill derived defaults for a concrete graph size and validate."""
         n = self.n if self.n is not None else min(default_num_samples(self.k), num_nodes)
-        d = self.d if self.d is not None else default_num_signals(n)
+        d = self.d if self.d is not None else max(default_num_signals(n), self.k + SIGNAL_OVERSAMPLING)
         if self.k < 2:
             raise ValueError("k must be >= 2")
         if n < self.k:
@@ -75,8 +78,6 @@ class CscParams:
             raise ValueError(f"n={n} exceeds the number of nodes {num_nodes}")
         if d < 1 or self.p < 1:
             raise ValueError("d and p must be >= 1")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
         km = self.kmeans or KmeansConfig(k=self.k, seed=substream_seed(self.seed, "kmeans"))
         if km.k != self.k:
             raise ValueError(f"kmeans config k={km.k} does not match k={self.k}")
@@ -88,11 +89,8 @@ class CscParams:
             "n": self.n,
             "d": self.d,
             "p": self.p,
-            "gamma": self.gamma,
             "seed": self.seed,
             "lambda_k": self.lambda_k,
-            "solver_tol": self.solver_tol,
-            "solver_max_iters": self.solver_max_iters,
         }
         return out
 
@@ -112,8 +110,9 @@ def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
     p-step Chebyshev recurrence on 2 ceil(ln N) probe signals, (2) damped
     low-pass design at the estimate, (3) random signal generation,
     (4) filtering + row normalization, (5) uniform node sampling,
-    (6) k-means on the sampled feature rows, (7) interpolation of the k
-    reduced indicators and argmax assignment.
+    (6) k-means on the sampled feature rows, (7) least-squares lift of the
+    k reduced indicators in the span of the filtered signals, and argmax
+    assignment. Only stages 1 and 4 apply the Laplacian, p times each.
     """
     N = op.num_nodes
     prm = params.resolve(N)
@@ -143,7 +142,6 @@ def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
     # 2. filters
     t0 = time.perf_counter()
     lowpass = design_lowpass(lam, prm.p)
-    highpass = matched_highpass(lowpass)
     timings["design"] = time.perf_counter() - t0
 
     # 3-4. random signals -> features
@@ -174,17 +172,9 @@ def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
 
     # 7. interpolation + assignment
     t0 = time.perf_counter()
-    icfg = InterpolationConfig(
-        highpass=highpass,
-        gamma=prm.gamma,
-        solver_tol=prm.solver_tol,
-        solver_max_iters=prm.solver_max_iters,
-    )
-    soft, info = interpolate_all(op, icfg, sampling, reduced)
+    soft = interpolate_all(feats, sampling, reduced)
     labels, assign_info = assign(soft, return_info=True)
     timings["interpolate"] = time.perf_counter() - t0
-    if not bool(np.all(info.converged)):
-        warnings.append("interpolation solver did not reach tolerance")
     timings["total"] = time.perf_counter() - t_run
 
     diagnostics = {
@@ -195,7 +185,6 @@ def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
         "n": prm.n,
         "d": prm.d,
         "p": prm.p,
-        "gamma": prm.gamma,
         "seed": prm.seed,
         "lambda_k_hat": lam,
         "lambda_source": lambda_source,
@@ -207,10 +196,9 @@ def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
         "probe_refused": 0,
         "kmeans_inertia": labeling.inertia,
         "kmeans_iterations": labeling.iterations_run,
-        "solver_iterations": info.iterations.tolist(),
-        "solver_residuals": info.residuals.tolist(),
-        "solver_converged": info.converged.tolist(),
-        "ridge": icfg.ridge,
+        # the lift is a direct solve, no iteration; perfbench still reads both keys
+        "solver_iterations": [0] * prm.k,
+        "solver_converged": [True] * prm.k,
         "zero_feature_rows": feats.zero_rows.tolist(),
         "assign_fallback_nodes": assign_info["fallback_nodes"].tolist(),
         "warnings": warnings,

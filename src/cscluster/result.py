@@ -15,10 +15,11 @@ import numpy as np
 class ClusterResult:
     """Hard partition plus the soft indicator vectors it was derived from.
 
-    ``soft`` holds one column per cluster over all N nodes (for the exact
-    baseline these are one-hot). ``diagnostics`` is a flat dict of run
-    metadata: cutoff estimate, sizes, solver iterations/residuals, warnings
-    and per-stage wall times under the "timings" key.
+    ``soft`` holds one column per cluster over all N nodes (the lifted
+    indicators for the compressive pipeline, one-hot for the exact
+    baseline). ``diagnostics`` is a flat dict of run metadata: cutoff
+    estimate, sizes, k-means outcome, warnings and per-stage wall times
+    under the "timings" key.
     """
 
     labels: np.ndarray

@@ -1,31 +1,25 @@
 """Uniform node sampling, bandlimited interpolation, and hard assignment.
 
 A reduced indicator vector known on n sampled nodes is lifted back to all N
-nodes by the regularized least-squares problem
-
-    min_x ||M x - c||^2 + gamma * x^T (g(L) + ridge) x
-
-where g is a polynomial high-pass at the clustering cut-off: it penalizes
-energy outside the low-frequency subspace the indicators (approximately)
-live in. The normal equations M^T M + gamma (g(L) + ridge I) are symmetric
-positive semidefinite, so conjugate gradient applies; every operator
-application is one fast filtering pass.
+nodes as a bandlimited signal. The filtered random signals F = h(L) R the
+features were built from already span approximately the k lowest
+eigenvectors, so the lift is the least-squares fit of the sampled
+indicators by the sampled rows of F, evaluated on every node: the decoder
+of Puy, Tremblay, Gribonval & Vandergheynst restricted to span(F), with no
+further filtering pass.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import PolyFilter, apply_filter, psd_ridge
-from .graph import LaplacianOp
+from .features import FeatureMatrix
 
 __all__ = [
     "SamplingSet",
-    "InterpolationConfig",
-    "CgInfo",
     "draw_sampling",
     "interpolate_all",
     "assign",
@@ -85,106 +79,24 @@ def draw_sampling(
     return SamplingSet(indices=indices.astype(np.int64), num_nodes=num_nodes)
 
 
-@dataclass
-class InterpolationConfig:
-    highpass: PolyFilter
-    gamma: float = 1e-3
-    solver_tol: float = 1e-6
-    solver_max_iters: int = 1000
-    ridge: float | None = None  # computed from the highpass grid minimum when None
-
-    def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.ridge is None:
-            self.ridge = psd_ridge(self.highpass)
-
-
-@dataclass
-class CgInfo:
-    """Per-column conjugate-gradient outcome for the interpolation solves."""
-
-    iterations: np.ndarray  # iteration at which each column converged (or last)
-    residuals: np.ndarray  # final absolute residual norms
-    converged: np.ndarray  # bool per column
-
-    @property
-    def max_iterations(self) -> int:
-        return int(self.iterations.max(initial=0))
-
-
-def _system_apply(op: LaplacianOp, cfg: InterpolationConfig, mask: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(M^T M + gamma (g(L) + ridge I)) X, accumulated in the filter output."""
-    out = apply_filter(cfg.highpass, op, X)
-    out += cfg.ridge * X
-    out *= cfg.gamma
-    out += mask[:, None] * X
-    return out
-
-
 def interpolate_all(
-    op: LaplacianOp,
-    cfg: InterpolationConfig,
+    features: FeatureMatrix,
     sampling: SamplingSet,
     reduced: np.ndarray,
-) -> tuple[np.ndarray, CgInfo]:
-    """Solve the k interpolation problems as one blocked CG run.
+) -> np.ndarray:
+    """Lift the k reduced indicators to all nodes in the span of F.
 
-    ``reduced`` is (n, k): one reduced indicator column per cluster. Each
-    column keeps its own step sizes, so this is exactly per-column CG with
-    shared filtering passes; converged columns are frozen and no longer
-    filtered, so a step costs ``order`` Laplacian applications to the
-    columns still active. Columns that miss the residual target within
-    ``solver_max_iters`` keep their best iterate and are reported as
-    unconverged.
+    ``reduced`` is (n, k): one reduced indicator column per cluster. With F
+    the unnormalized filtered block (N, d), this solves the least-squares
+    problem beta = argmin ||F[sampled] beta - reduced|| (minimum norm when
+    n < d) and returns soft = F beta, (N, k). F is already computed, so the
+    lift makes no Laplacian application.
     """
-    n, k = reduced.shape
-    if n != sampling.size:
-        raise ValueError(f"reduced indicators have {n} rows, sampling has {sampling.size}")
-    N = op.num_nodes
-    mask = np.zeros(N)
-    mask[sampling.indices] = 1.0
-    B = np.zeros((N, k))
-    B[sampling.indices] = reduced
-
-    X = np.zeros((N, k))
-    R = B.copy()  # residual for X = 0
-    P = R.copy()
-    rs = np.einsum("ij,ij->j", R, R)
-    target2 = (cfg.solver_tol * np.sqrt(np.einsum("ij,ij->j", B, B))) ** 2
-    converged_at = np.zeros(k, dtype=np.int64)
-    active = rs > target2
-    tiny = np.finfo(np.float64).tiny
-
-    iters = 0
-    while active.any() and iters < cfg.solver_max_iters:
-        if active.all():
-            AP = _system_apply(op, cfg, mask, P)
-        else:
-            AP = np.zeros_like(P)
-            AP[:, active] = _system_apply(op, cfg, mask, P[:, active])
-        denom = np.einsum("ij,ij->j", P, AP)
-        alpha = np.where(active & (np.abs(denom) > tiny), rs / np.where(np.abs(denom) > tiny, denom, 1.0), 0.0)
-        X += alpha * P
-        R -= alpha * AP
-        rs_new = np.einsum("ij,ij->j", R, R)
-        beta = np.where(active, rs_new / np.maximum(rs, tiny), 0.0)
-        P = R + beta * P
-        rs = rs_new
-        iters += 1
-        newly_done = active & (rs <= target2)
-        converged_at[newly_done] = iters
-        active = active & ~newly_done
-
-    residuals = np.sqrt(rs)
-    converged = residuals <= np.sqrt(target2) + tiny
-    converged_at[active] = iters
-    if active.any():
-        logger.warning(
-            "interpolation CG did not converge for %d of %d classes within %d iterations",
-            int(active.sum()), k, cfg.solver_max_iters,
-        )
-    return X, CgInfo(iterations=converged_at, residuals=residuals, converged=converged)
+    if reduced.shape[0] != sampling.size:
+        raise ValueError(f"reduced indicators have {reduced.shape[0]} rows, sampling has {sampling.size}")
+    F = features.filtered
+    beta = np.linalg.lstsq(F[sampling.indices], reduced, rcond=None)[0]
+    return F @ beta
 
 
 def assign(soft: np.ndarray, *, return_info: bool = False):

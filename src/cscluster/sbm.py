@@ -210,13 +210,13 @@ def modularity(graph: Graph, labels: Sequence[int]) -> float:
 
 SWEEP_FIELDS = [
     "run_id", "method", "num_nodes", "k", "avg_degree", "epsilon", "sizes",
-    "n", "d", "p", "gamma", "replicate", "seed",
+    "n", "d", "p", "replicate", "seed",
     "ari", "modularity", "lambda_k_hat", "lambda_warning",
-    "cg_iters_max", "t_total", "t_probe", "t_filter", "t_kmeans", "t_interpolate",
+    "t_total", "t_probe", "t_filter", "t_kmeans", "t_interpolate",
     "error",
 ]
 
-_GRID_KEYS = ("epsilon", "eps_frac", "n", "d", "p", "gamma")
+_CSC_KEYS = ("n", "d", "p")
 
 
 def _as_list(value: Any) -> list:
@@ -227,14 +227,18 @@ def expand_sweep_spec(spec: dict[str, Any]) -> list[dict[str, Any]]:
     """Flatten a sweep description into one dict per (cell, method, replicate).
 
     Spec keys: graph {num_nodes, k, avg_degree, epsilon | eps_frac, sizes?},
-    methods [csc|sc], replicates, seed, csc {n?, d?, p?, gamma?}; any of the
-    epsilon / n / d / p / gamma entries may be a list to sweep over.
+    methods [csc|sc], replicates, seed, csc {n?, d?, p?}; any of the
+    epsilon / n / d / p entries may be a list to sweep over. Other keys under
+    csc are rejected.
     """
     graph = dict(spec["graph"])
     methods = list(spec.get("methods", ["csc"]))
     replicates = int(spec.get("replicates", 1))
     base_seed = int(spec.get("seed", 0))
     overrides = dict(spec.get("csc", {}))
+    unknown = set(overrides) - set(_CSC_KEYS)
+    if unknown:
+        raise ValueError(f"unknown csc parameter(s): {sorted(unknown)}")
 
     if "eps_frac" in graph:
         eps_c = critical_epsilon(graph["avg_degree"], graph["k"])
@@ -243,7 +247,7 @@ def expand_sweep_spec(spec: dict[str, Any]) -> list[dict[str, Any]]:
         eps_list = _as_list(graph.pop("epsilon"))
 
     grid_axes = {"epsilon": eps_list}
-    for key in ("n", "d", "p", "gamma"):
+    for key in _CSC_KEYS:
         if key in overrides:
             grid_axes[key] = _as_list(overrides[key])
 
@@ -265,7 +269,7 @@ def expand_sweep_spec(spec: dict[str, Any]) -> list[dict[str, Any]]:
                     "replicate": rep,
                     "seed": substream_seed(base_seed, f"{cell_tag}-rep{rep}"),
                 }
-                for key in ("n", "d", "p", "gamma"):
+                for key in _CSC_KEYS:
                     if key in cell:
                         run[key] = cell[key]
                 runs.append(run)
@@ -293,15 +297,13 @@ def _execute_run(run: dict[str, Any]) -> dict[str, Any]:
                 n=run.get("n"),
                 d=run.get("d"),
                 p=int(run.get("p", 50)),
-                gamma=float(run.get("gamma", 1e-3)),
                 seed=substream_seed(run["seed"], "pipeline"),
             )
             result = run_csc(op, params)
             diag = result.diagnostics
             row.update(
-                n=diag["n"], d=diag["d"], p=diag["p"], gamma=diag["gamma"],
+                n=diag["n"], d=diag["d"], p=diag["p"],
                 lambda_k_hat=diag["lambda_k_hat"], lambda_warning=diag["lambda_warning"],
-                cg_iters_max=max(diag["solver_iterations"]),
                 t_probe=round(diag["timings"]["probe"], 6),
                 t_filter=round(diag["timings"]["filter"], 6),
                 t_kmeans=round(diag["timings"]["kmeans"], 6),
@@ -338,7 +340,9 @@ def sweep(
     Each row is appended and flushed as soon as its run completes, so an
     interrupted sweep keeps every finished row; completed (method, cell,
     replicate) rows found in an existing CSV are skipped, so the next call
-    resumes. ``force`` restarts from scratch. Rows are written in
+    resumes. An existing CSV whose header differs from ``SWEEP_FIELDS``
+    (written by an older version) is refused with a ``ValueError`` and left
+    untouched. ``force`` restarts from scratch. Rows are written in
     deterministic grid order regardless of thread count.
     """
     if not isinstance(spec, dict):
@@ -349,7 +353,17 @@ def sweep(
     done: set[str] = set()
     if out_path.exists() and not force:
         with out_path.open("r", encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            if header != SWEEP_FIELDS:
+                missing = [f for f in SWEEP_FIELDS if f not in header]
+                extra = [f for f in header if f not in SWEEP_FIELDS]
+                reordered = "" if missing or extra else ", same columns in another order"
+                raise ValueError(
+                    f"{out_path} has other columns than this sweep writes "
+                    f"(missing {missing}, extra {extra}{reordered}); pass force to restart"
+                )
+            for row in reader:
                 done.add(row.get("run_id", ""))
     elif out_path.exists() and force:
         out_path.unlink()

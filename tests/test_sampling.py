@@ -5,19 +5,17 @@ import pytest
 import scipy.stats
 
 from cscluster import (
-    InterpolationConfig,
+    FeatureMatrix,
     LaplacianOp,
     adjusted_rand_index,
     assign,
-    dense_eig,
+    build_features,
     design_lowpass,
     draw_sampling,
+    generate_signals,
     interpolate_all,
     laplacian_op,
-    matched_highpass,
 )
-import cscluster.sampling
-from cscluster.sampling import _system_apply
 from helpers import cliques_graph
 
 
@@ -69,22 +67,23 @@ class TestDrawSampling:
         assert np.array_equal(a.indices, b.indices)
 
 
-def _interp_cfg(order=60, cutoff=0.5, **kw):
-    return InterpolationConfig(highpass=matched_highpass(design_lowpass(cutoff, order)), **kw)
+def _features(op, cutoff, order=40, d=20, seed=0):
+    return build_features(op, design_lowpass(cutoff, order), generate_signals(op.num_nodes, d, seed))
 
 
 class TestInterpolate:
     def test_disconnected_cliques_exact_recovery(self):
         g, truth = cliques_graph(3, 10)
         op = laplacian_op(g)
-        cfg = _interp_cfg()
+        # K10 components: the next eigenvalue is 10/9, far above the cut-off
+        feats = _features(op, 0.5, order=60, d=6)
         sampling = draw_sampling(30, 12, seed=4)
         assert len(set(truth[sampling.indices].tolist())) == 3  # all cliques sampled
         k = 3
         reduced = np.zeros((12, k))
         reduced[np.arange(12), truth[sampling.indices]] = 1.0
-        soft, info = interpolate_all(op, cfg, sampling, reduced)
-        assert bool(np.all(info.converged))
+        soft = interpolate_all(feats, sampling, reduced)
+        assert soft.shape == (30, k)
         for j in range(k):
             inside = soft[truth == j, j]
             outside = soft[truth != j, j]
@@ -93,71 +92,25 @@ class TestInterpolate:
         assert adjusted_rand_index(truth, labels) == 1.0
 
     def test_zero_data_zero_solution(self, k3_graph):
-        op = laplacian_op(k3_graph)
-        cfg = _interp_cfg(order=20, cutoff=1.0, gamma=1e6)
+        feats = _features(laplacian_op(k3_graph), 1.0, order=20, d=2)
         sampling = draw_sampling(3, 2, 0)
-        x, info = interpolate_all(op, cfg, sampling, np.zeros((2, 1)))
+        x = interpolate_all(feats, sampling, np.zeros((2, 1)))
         assert np.all(x == 0.0)
-        assert bool(np.all(info.converged))
-        assert info.max_iterations == 0
 
-    def test_iterative_matches_dense_direct(self, sbm500):
-        # dense route goes through the spectral decomposition, not the
-        # Chebyshev recurrence
-        op = sbm500["op"]
+    def test_exact_on_bandlimited_signals(self, sbm500):
+        # F spanning exactly U_k (dense route, no Chebyshev recurrence): a
+        # signal in span(U_k) is recovered on every node from n > k samples
         basis = sbm500["basis"]
-        N = op.num_nodes
-        cfg = _interp_cfg(order=40, cutoff=0.45, solver_tol=1e-10)
-        sampling = draw_sampling(N, 60, 8)
+        k = sbm500["k"]
+        N = basis.num_nodes
+        Uk = basis.leading(k)
         rng = np.random.default_rng(0)
-        c_r = rng.standard_normal(60)
-        X, info = interpolate_all(op, cfg, sampling, c_r[:, None])
-        x = X[:, 0]
-        assert bool(np.all(info.converged))
-        mask = np.zeros(N)
-        mask[sampling.indices] = 1.0
-        h = cfg.highpass.evaluate(basis.eigenvalues) + cfg.ridge
-        G = basis.eigenvectors @ (h[:, None] * basis.eigenvectors.T)
-        A = np.diag(mask) + cfg.gamma * G
-        ref = np.linalg.solve(A, sampling.adjoint(c_r))
-        assert np.linalg.norm(x - ref) <= 1e-6 * np.linalg.norm(ref)
-
-    def test_residual_contract(self, sbm500):
-        op = sbm500["op"]
-        cfg = _interp_cfg(order=40, cutoff=0.45, solver_tol=1e-8)
-        sampling = draw_sampling(op.num_nodes, 50, 9)
-        rng = np.random.default_rng(1)
-        c_r = rng.standard_normal(50)
-        X, info = interpolate_all(op, cfg, sampling, c_r[:, None])
-        x = X[:, 0]
-        mask = np.zeros(op.num_nodes)
-        mask[sampling.indices] = 1.0
-        b = sampling.adjoint(c_r)
-        true_res = np.linalg.norm(_system_apply(op, cfg, mask, x[:, None]) - b[:, None])
-        assert true_res <= 10 * 1e-8 * np.linalg.norm(b)
-
-    def test_system_operator_psd(self, sbm500):
-        op = sbm500["op"]
-        cfg = _interp_cfg(order=30, cutoff=0.5)
-        mask = np.zeros(op.num_nodes)
-        mask[draw_sampling(op.num_nodes, 40, 2).indices] = 1.0
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            x = rng.standard_normal((op.num_nodes, 1))
-            q = float(x.ravel() @ _system_apply(op, cfg, mask, x).ravel())
-            assert q >= -1e-10
-
-    def test_nonconvergence_flagged(self, sbm500, caplog):
-        op = sbm500["op"]
-        cfg = _interp_cfg(order=40, cutoff=0.45, solver_tol=1e-12, solver_max_iters=2)
-        sampling = draw_sampling(op.num_nodes, 50, 10)
-        c_r = np.random.default_rng(2).standard_normal(50)
-        with caplog.at_level("WARNING"):
-            X, info = interpolate_all(op, cfg, sampling, c_r[:, None])
-            x = X[:, 0]
-        assert not bool(np.all(info.converged))
-        assert info.residuals[0] > 0
-        assert any("did not converge" in rec.message for rec in caplog.records)
+        F = Uk @ (Uk.T @ rng.standard_normal((N, k + 10)))
+        feats = FeatureMatrix(rows=F, filtered=F, normalized=False)
+        x = Uk @ rng.standard_normal((k, 2))
+        sampling = draw_sampling(N, 60, 8)
+        soft = interpolate_all(feats, sampling, x[sampling.indices])
+        assert np.linalg.norm(soft - x) <= 1e-10 * np.linalg.norm(x)
 
     @staticmethod
     def _indicator_problem(sbm500, n, seed):
@@ -167,51 +120,51 @@ class TestInterpolate:
         reduced[np.arange(n), truth[sampling.indices]] = 1.0
         return sampling, reduced
 
+    def test_residual_contract(self, sbm500):
+        # least squares: on the sampled nodes the residual is orthogonal to
+        # every column of F[sampled] (the normal equations)
+        feats = _features(sbm500["op"], 0.45)
+        sampling, reduced = self._indicator_problem(sbm500, 60, 9)
+        soft = interpolate_all(feats, sampling, reduced)
+        A = feats.filtered[sampling.indices]
+        residual = soft[sampling.indices] - reduced
+        assert np.linalg.norm(residual) > 0.1  # n > d: the fit is not exact
+        assert np.abs(A.T @ residual).max() <= 1e-10 * np.linalg.norm(A) * np.linalg.norm(reduced)
+
     def test_work_is_deterministic_count(self, sbm500, monkeypatch):
-        # converged columns leave the filtering passes
-        op = sbm500["op"]
-        order = 40
-        cfg = _interp_cfg(order=order, cutoff=0.45)
+        # the lift reuses the filtered block: no Laplacian application
+        feats = _features(sbm500["op"], 0.45)
         sampling, reduced = self._indicator_problem(sbm500, 80, 11)
+        calls = 0
         real_apply = LaplacianOp.apply
-        calls = columns = 0
 
         def counting_apply(self, x):
-            nonlocal calls, columns
+            nonlocal calls
             calls += 1
-            columns += x.shape[1]
             return real_apply(self, x)
 
         monkeypatch.setattr(LaplacianOp, "apply", counting_apply)
-        _, info = interpolate_all(op, cfg, sampling, reduced)
-        assert bool(np.all(info.converged))
-        assert np.unique(info.iterations).size > 1  # columns finish at different steps
-        assert columns == order * int(info.iterations.sum())
-        assert calls == order * info.max_iterations
+        interpolate_all(feats, sampling, reduced)
+        assert calls == 0
 
-    def test_inputs_never_written(self, sbm500, monkeypatch):
+    def test_inputs_never_written(self, sbm500):
         op = sbm500["op"]
         weights = op.graph.weights.copy()
-        cfg = _interp_cfg(order=30, cutoff=0.45)
+        feats = _features(op, 0.45)
+        filtered, rows = feats.filtered.copy(), feats.rows.copy()
         sampling, reduced = self._indicator_problem(sbm500, 60, 12)
         reduced_before = reduced.copy()
-        untouched = []
-
-        def checking_system_apply(op_, cfg_, mask, P):
-            before = P.copy()
-            out = _system_apply(op_, cfg_, mask, P)
-            untouched.append(np.array_equal(P, before))
-            return out
-
-        monkeypatch.setattr(cscluster.sampling, "_system_apply", checking_system_apply)
-        interpolate_all(op, cfg, sampling, reduced)
-        assert untouched and all(untouched)
+        interpolate_all(feats, sampling, reduced)
+        assert np.array_equal(feats.filtered, filtered)
+        assert np.array_equal(feats.rows, rows)
         assert np.array_equal(reduced, reduced_before)
         assert np.array_equal(op.graph.weights, weights)
 
-    def test_gamma_validation(self):
-        with pytest.raises(ValueError):
-            InterpolationConfig(highpass=matched_highpass(design_lowpass(0.5, 20)), gamma=0.0)
+    def test_row_count_validation(self, sbm500):
+        feats = _features(sbm500["op"], 0.45)
+        sampling = draw_sampling(sbm500["op"].num_nodes, 30, 0)
+        with pytest.raises(ValueError, match="rows"):
+            interpolate_all(feats, sampling, np.zeros((29, 2)))
 
 
 class TestAssign:

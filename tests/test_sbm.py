@@ -16,7 +16,7 @@ from cscluster import (
     sweep,
 )
 import cscluster.sbm
-from cscluster.sbm import expand_sweep_spec
+from cscluster.sbm import SWEEP_FIELDS, expand_sweep_spec
 from helpers import all_partitions, brute_force_ari, cliques_graph
 
 
@@ -255,6 +255,35 @@ class TestSweep:
         sweep(self._tiny_spec(), out)
         rows = sweep(self._tiny_spec(), out, force=True)
         assert len(rows) == 4
+
+    def test_resume_refuses_other_columns(self, tmp_path):
+        # a CSV from a version whose rows carried the CG decoder's columns:
+        # appending to it would misalign every new row
+        out = tmp_path / "old.csv"
+        old_fields = SWEEP_FIELDS[:9] + ["gamma"] + SWEEP_FIELDS[9:15] + ["cg_iters_max"] + SWEEP_FIELDS[15:]
+        old_row = {f: "" for f in old_fields}
+        old_row.update(run_id="csc-epsilon=0.02-rep0", method="csc", gamma="0.001", cg_iters_max="31")
+        with out.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=old_fields)
+            writer.writeheader()
+            writer.writerow(old_row)
+        before = out.read_bytes()
+        with pytest.raises(ValueError, match=r"extra \['gamma', 'cg_iters_max'\]"):
+            sweep(self._tiny_spec(), out)
+        assert out.read_bytes() == before
+        rows = sweep(self._tiny_spec(), out, force=True)
+        assert len(rows) == 4
+        with out.open() as fh:
+            assert csv.DictReader(fh).fieldnames == SWEEP_FIELDS
+
+    def test_unknown_csc_key_rejected(self, tmp_path):
+        spec = self._tiny_spec(csc={"d": [8, 12], "gamma": 1e-3})
+        with pytest.raises(ValueError, match=r"unknown csc parameter\(s\): \['gamma'\]"):
+            expand_sweep_spec(spec)
+        with pytest.raises(ValueError, match="gamma"):
+            sweep(spec, tmp_path / "stale.csv")
+        assert not (tmp_path / "stale.csv").exists()
+        assert len(expand_sweep_spec(self._tiny_spec(csc={"d": [8, 12]}))) == 8
 
     def test_threaded_matches_serial(self, tmp_path):
         serial = tmp_path / "serial.csv"
