@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .filters import DEFAULT_FILTER_ORDER
 from .graph import GraphError, laplacian_op, read_edge_list, write_edge_list
 from .oracle import DEFAULT_DENSE_CAP, DenseCapError
 from .pipeline import CscParams, DegenerateClusteringError, run_csc, run_sc_baseline
@@ -28,7 +29,9 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-_DEFAULTS_NOTE = "defaults: n = 2k log k, d = max(4 log n, k + 10) and p = 50 (natural logs, rounded up)"
+_DEFAULTS_NOTE = (
+    f"defaults: n = 2k log k, d = max(4 log n, k + 10) and p = {DEFAULT_FILTER_ORDER} (natural logs, rounded up)"
+)
 
 
 class CliError(Exception):
@@ -98,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     clu.add_argument("--k", type=int, required=True, help="number of clusters")
     clu.add_argument("--n", type=int, help="sampled nodes (default 2k log k, rounded up)")
     clu.add_argument("--d", type=int, help="random signals (default max(4 log n, k + 10), log rounded up)")
-    clu.add_argument("--p", type=int, default=50, help="polynomial filter order (default 50)")
+    clu.add_argument("--p", type=int, default=DEFAULT_FILTER_ORDER,
+                     help=f"polynomial filter order (default {DEFAULT_FILTER_ORDER})")
     clu.add_argument("--lambda-k", type=float, dest="lambda_k",
                      help="cut-off eigenvalue override: skips the cut-off estimation")
     clu.add_argument("--seed", type=int, default=0)

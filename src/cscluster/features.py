@@ -4,14 +4,14 @@ Filtering d random signals with a low-pass polynomial at the k-th eigenvalue
 gives every node a d-dimensional feature vector whose pairwise distances
 approximate the spectral-clustering feature distances; the row normalization
 stands in for the unknown local coherences, whose values the filtered row
-norms approximate.
+norms approximate. ``generate_signals`` draws the N x d block R as a plain
+array, and ``build_features`` filters it once.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -24,45 +24,30 @@ _ZERO_ROW_TOL = 1e-300
 
 
 @dataclass
-class RandomSignals:
-    """N x d matrix of i.i.d. Gaussian entries N(0, 1/d), so that
-    E||column||^2 = N/d."""
-
-    matrix: np.ndarray
-    seed: Any
-
-    @property
-    def num_signals(self) -> int:
-        return int(self.matrix.shape[1])
-
-
-@dataclass
 class FeatureMatrix:
-    """Per-node feature rows, the filtered block they were normalized from,
-    and provenance of how they were produced."""
+    """Per-node feature rows (unit length, zero on ``zero_rows``), the
+    filtered block they were normalized from, and the nodes whose filtered
+    row is zero."""
 
     rows: np.ndarray
     filtered: np.ndarray
-    normalized: bool
     zero_rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    provenance: dict[str, Any] = field(default_factory=dict)
 
 
 def generate_signals(
     num_nodes: int,
     num_signals: int,
     seed: int | np.random.Generator = 0,
-) -> RandomSignals:
-    """Draw the random signal matrix; reproducible for a given seed."""
+) -> np.ndarray:
+    """Draw the N x d random signal matrix R of i.i.d. Gaussian entries
+    N(0, 1/d), so that E||column||^2 = N/d; reproducible for a given seed."""
     if num_signals < 1:
         raise ValueError("num_signals must be >= 1")
     rng = np.random.default_rng(seed)
-    matrix = rng.standard_normal((num_nodes, num_signals)) / np.sqrt(num_signals)
-    seed_repr = seed if isinstance(seed, int) else None
-    return RandomSignals(matrix=matrix, seed=seed_repr)
+    return rng.standard_normal((num_nodes, num_signals)) / np.sqrt(num_signals)
 
 
-def build_features(op: LaplacianOp, filt: PolyFilter, signals: RandomSignals) -> FeatureMatrix:
+def build_features(op: LaplacianOp, filt: PolyFilter, signals: np.ndarray) -> FeatureMatrix:
     """Filter the signals and normalize each node's row to unit length.
 
     The unnormalized block F = h(L) R is kept as ``filtered``: the
@@ -71,9 +56,9 @@ def build_features(op: LaplacianOp, filt: PolyFilter, signals: RandomSignals) ->
     excluded from sampling (they carry no usable geometry; interpolation
     still assigns them a label).
     """
-    if signals.num_signals == 1:
+    if signals.shape[1] == 1:
         logger.warning("single random signal: rank-1 embedding, distances are degenerate")
-    filtered = apply_filter(filt, op, signals.matrix)
+    filtered = apply_filter(filt, op, signals)
     norms = np.linalg.norm(filtered, axis=1)
     zero_rows = np.flatnonzero(norms <= _ZERO_ROW_TOL)
     if zero_rows.size:
@@ -82,8 +67,4 @@ def build_features(op: LaplacianOp, filt: PolyFilter, signals: RandomSignals) ->
     safe[zero_rows] = 1.0
     rows = filtered / safe[:, None]
     rows[zero_rows] = 0.0
-    provenance = {
-        "filter": {"cutoff": filt.cutoff, "order": filt.order, "damping": filt.damping},
-        "seed": signals.seed,
-    }
-    return FeatureMatrix(rows=rows, filtered=filtered, normalized=True, zero_rows=zero_rows, provenance=provenance)
+    return FeatureMatrix(rows=rows, filtered=filtered, zero_rows=zero_rows)

@@ -2,8 +2,9 @@
 
 The Laplacian used everywhere in this package is L = I - D^{-1/2} W D^{-1/2},
 whose spectrum lies in [0, 2]. Zero-degree nodes get d^{-1/2} = 0, so L acts
-as the identity on their coordinate; they are flagged because the clustering
-pipeline has to treat them separately.
+as the identity on their coordinate; ``Graph.isolated_nodes`` flags them, and
+the clustering pipeline excludes them from its node sample (their filtered
+row carries no cluster geometry) while still labeling them.
 """
 
 from __future__ import annotations
@@ -76,19 +77,13 @@ def _from_scipy(A: sp.spmatrix, num_nodes: int) -> Graph:
 def build_graph(
     edges: Iterable[Sequence[float]] | np.ndarray,
     num_nodes: int | None = None,
-    *,
-    self_loops: str = "error",
 ) -> Graph:
     """Build a canonical symmetric graph from (i, j[, weight]) triples.
 
     Duplicate entries with the same direction are summed first; when both
     directions of an edge then carry different weights, the larger one wins.
-    Missing weights default to 1.0.
-
-    self_loops: "error" rejects i == j entries, "drop" silently removes them.
+    Missing weights default to 1.0. Self-loops (i == j) are rejected.
     """
-    if self_loops not in ("error", "drop"):
-        raise ValueError(f"self_loops must be 'error' or 'drop', got {self_loops!r}")
     arr = np.atleast_2d(np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.float64))
     if arr.size == 0:
         arr = arr.reshape(0, 3)
@@ -118,12 +113,9 @@ def build_graph(
     elif src.size and int(max(src.max(), dst.max())) >= num_nodes:
         raise GraphError(f"node index {int(max(src.max(), dst.max()))} out of range for num_nodes={num_nodes}")
 
-    loops = src == dst
-    if loops.any():
-        if self_loops == "error":
-            raise GraphError(f"self-loop on node {int(src[np.flatnonzero(loops)[0]])}")
-        keep = ~loops
-        src, dst, w = src[keep], dst[keep], w[keep]
+    loops = np.flatnonzero(src == dst)
+    if loops.size:
+        raise GraphError(f"self-loop on node {int(src[loops[0]])}")
 
     A = sp.coo_matrix((w, (src, dst)), shape=(num_nodes, num_nodes)).tocsr()
     A.sum_duplicates()
@@ -242,7 +234,7 @@ def read_edge_list(path: str | Path, num_nodes: int | None = None) -> Graph:
     except ValueError as exc:
         raise _locate_malformed_line(path, text, body, exc) from None
     arr = np.column_stack([rows["src"], rows["dst"], rows["weight"]])
-    return build_graph(arr, num_nodes=num_nodes, self_loops="error")
+    return build_graph(arr, num_nodes=num_nodes)
 
 
 def _locate_malformed_line(path: Path, text: str, body: str, exc: ValueError) -> GraphError:

@@ -3,7 +3,10 @@
 ``dense_eig`` diagonalizes the normalized Laplacian with LAPACK
 (``scipy.linalg.eigh``); ``spectral_clustering`` is the standard k-way
 baseline (first k eigenvectors, row normalization, k-means). Both are meant
-for graphs small enough to densify.
+for graphs small enough to densify. The paper's error terms (the filter's
+sup errors e1, e2 on the spectrum, the coherences of U_k) are one line each
+from an ``EigenBasis`` and ``PolyFilter.evaluate``, so the package keeps no
+helper for them.
 """
 
 from __future__ import annotations
@@ -46,20 +49,6 @@ class EigenBasis:
         return self.eigenvectors[:, :k]
 
 
-@dataclass
-class CoherenceProfile:
-    """Row energies of the leading eigenvector block.
-
-    local[i] is the norm of row i of U_k; global_ = sqrt(N) * max local,
-    which lies in [sqrt(k), sqrt(N)] and drives how many uniform samples
-    the subsampling step needs.
-    """
-
-    order: int
-    local: np.ndarray
-    global_: float
-
-
 def dense_eig(op: LaplacianOp, *, cap: int = DEFAULT_DENSE_CAP, vectors: bool = True) -> EigenBasis:
     """Full eigendecomposition of L by LAPACK (dense path, N <= cap).
 
@@ -80,14 +69,6 @@ def dense_eig(op: LaplacianOp, *, cap: int = DEFAULT_DENSE_CAP, vectors: bool = 
         return EigenBasis(eigenvalues=w, eigenvectors=V)
     w = scipy.linalg.eigh(L, eigvals_only=True, overwrite_a=True, driver="evd")
     return EigenBasis(eigenvalues=w, eigenvectors=np.empty((n, 0)))
-
-
-def coherence(basis: EigenBasis, k: int) -> CoherenceProfile:
-    """Local and global cumulative coherences of order k."""
-    if not 1 <= k <= basis.num_nodes:
-        raise ValueError(f"k={k} out of range for N={basis.num_nodes}")
-    local = np.linalg.norm(basis.leading(k), axis=1)
-    return CoherenceProfile(order=k, local=local, global_=float(np.sqrt(basis.num_nodes) * local.max()))
 
 
 def spectral_clustering(

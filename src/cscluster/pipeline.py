@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
-from typing import Any
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._rng import substream, substream_seed
-from .filters import design_lowpass
+from .filters import DEFAULT_FILTER_ORDER, design_lowpass
 from .graph import LaplacianOp
 from .kmeans import KmeansConfig, kmeans, labels_to_indicators
-from .oracle import DEFAULT_DENSE_CAP, EigenBasis, spectral_clustering
+from .oracle import EigenBasis, spectral_clustering
 from .result import ClusterResult
 from .features import build_features, generate_signals
 from .sampling import assign, draw_sampling, interpolate_all
@@ -61,46 +60,24 @@ class CscParams:
     k: int
     n: int | None = None
     d: int | None = None
-    p: int = 50
+    p: int = DEFAULT_FILTER_ORDER
     seed: int = 0
     lambda_k: float | None = None
-    kmeans: KmeansConfig | None = field(default=None, repr=False)
 
     def resolve(self, num_nodes: int) -> "CscParams":
-        """Fill derived defaults for a concrete graph size and validate."""
+        """Fill derived defaults and validate, for a graph with ``num_nodes``
+        nodes that the sample may draw from."""
+        if self.k < 2:
+            raise ValueError(f"k must be >= 2, got k={self.k}")
         n = self.n if self.n is not None else min(default_num_samples(self.k), num_nodes)
         d = self.d if self.d is not None else max(default_num_signals(n), self.k + SIGNAL_OVERSAMPLING)
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
         if n < self.k:
             raise ValueError(f"n={n} < k={self.k}: cannot sample fewer nodes than clusters")
         if n > num_nodes:
-            raise ValueError(f"n={n} exceeds the number of nodes {num_nodes}")
+            raise ValueError(f"n={n} exceeds the {num_nodes} nodes that can be sampled")
         if d < 1 or self.p < 1:
             raise ValueError("d and p must be >= 1")
-        km = self.kmeans or KmeansConfig(k=self.k, seed=substream_seed(self.seed, "kmeans"))
-        if km.k != self.k:
-            raise ValueError(f"kmeans config k={km.k} does not match k={self.k}")
-        return replace(self, n=n, d=d, kmeans=km)
-
-    def to_dict(self) -> dict[str, Any]:
-        out = {
-            "k": self.k,
-            "n": self.n,
-            "d": self.d,
-            "p": self.p,
-            "seed": self.seed,
-            "lambda_k": self.lambda_k,
-        }
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CscParams":
-        known = {f for f in cls.__dataclass_fields__ if f != "kmeans"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown parameter(s): {sorted(unknown)}")
-        return cls(**{k: v for k, v in data.items()})
+        return replace(self, n=n, d=d)
 
 
 def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
@@ -115,7 +92,7 @@ def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
     assignment. Only stages 1 and 4 apply the Laplacian, p times each.
     """
     N = op.num_nodes
-    prm = params.resolve(N)
+    prm = params.resolve(N - op.graph.isolated_nodes.size)
     timings: dict[str, float] = {}
     warnings: list[str] = []
     t_run = time.perf_counter()
@@ -154,14 +131,16 @@ def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
     if feats.zero_rows.size:
         warnings.append(f"{feats.zero_rows.size} zero-norm feature rows")
 
-    # 5. sampling
+    # 5. sampling: an isolated node filters to h(1) r_i, which row
+    # normalization would turn into a random unit row
     t0 = time.perf_counter()
-    sampling = draw_sampling(N, prm.n, substream(prm.seed, "sampling"), exclude=feats.zero_rows)
+    exclude = np.union1d(feats.zero_rows, op.graph.isolated_nodes)
+    sampled = draw_sampling(N, prm.n, substream(prm.seed, "sampling"), exclude=exclude)
     timings["sampling"] = time.perf_counter() - t0
 
     # 6. reduced k-means
     t0 = time.perf_counter()
-    labeling = kmeans(feats.rows[sampling.indices], prm.kmeans)
+    labeling = kmeans(feats.rows[sampled], KmeansConfig(k=prm.k, seed=substream_seed(prm.seed, "kmeans")))
     counts = np.bincount(labeling.labels, minlength=prm.k)
     if np.any(counts == 0):
         raise DegenerateClusteringError(
@@ -172,8 +151,8 @@ def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
 
     # 7. interpolation + assignment
     t0 = time.perf_counter()
-    soft = interpolate_all(feats, sampling, reduced)
-    labels, assign_info = assign(soft, return_info=True)
+    soft = interpolate_all(feats, sampled, reduced)
+    labels, fallback_nodes = assign(soft)
     timings["interpolate"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_run
 
@@ -200,22 +179,14 @@ def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
         "solver_iterations": [0] * prm.k,
         "solver_converged": [True] * prm.k,
         "zero_feature_rows": feats.zero_rows.tolist(),
-        "assign_fallback_nodes": assign_info["fallback_nodes"].tolist(),
+        "assign_fallback_nodes": fallback_nodes.tolist(),
         "warnings": warnings,
         "timings": timings,
     }
     return ClusterResult(labels=labels, soft=soft, diagnostics=diagnostics)
 
 
-def run_sc_baseline(
-    op: LaplacianOp,
-    k: int,
-    kmeans_cfg: KmeansConfig | None = None,
-    *,
-    seed: int = 0,
-    cap: int = DEFAULT_DENSE_CAP,
-    basis: EigenBasis | None = None,
-) -> ClusterResult:
-    """Exact spectral clustering with the shared result schema."""
-    cfg = kmeans_cfg or KmeansConfig(k=k, seed=substream_seed(seed, "kmeans"))
-    return spectral_clustering(op, k, cfg, cap=cap, basis=basis)
+def run_sc_baseline(op: LaplacianOp, k: int, *, seed: int = 0, basis: EigenBasis | None = None) -> ClusterResult:
+    """Exact spectral clustering with the shared result schema; k-means seeded
+    from the same substream of ``seed`` as ``run_csc``'s."""
+    return spectral_clustering(op, k, KmeansConfig(k=k, seed=substream_seed(seed, "kmeans")), basis=basis)

@@ -6,20 +6,20 @@ features were built from already span approximately the k lowest
 eigenvectors, so the lift is the least-squares fit of the sampled
 indicators by the sampled rows of F, evaluated on every node: the decoder
 of Puy, Tremblay, Gribonval & Vandergheynst restricted to span(F), with no
-further filtering pass.
+further filtering pass. The sample is a plain array of node indices; nodes
+without usable features (zero filtered rows, isolated nodes) are excluded
+from it by the caller and still get a label from the lift.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from .features import FeatureMatrix
 
 __all__ = [
-    "SamplingSet",
     "draw_sampling",
     "interpolate_all",
     "assign",
@@ -28,41 +28,18 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class SamplingSet:
-    """Ordered distinct node indices realizing the sampling operator:
-    (M x)_i = x[indices[i]]."""
-
-    indices: np.ndarray
-    num_nodes: int
-
-    @property
-    def size(self) -> int:
-        return int(self.indices.size)
-
-    def restrict(self, x: np.ndarray) -> np.ndarray:
-        """M x: keep the sampled coordinates, in draw order."""
-        return x[self.indices]
-
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """M^T y: scatter sampled values back into an all-zero signal."""
-        shape = (self.num_nodes,) + y.shape[1:]
-        out = np.zeros(shape, dtype=np.float64)
-        out[self.indices] = y
-        return out
-
-
 def draw_sampling(
     num_nodes: int,
     n: int,
     seed: int | np.random.Generator,
     *,
     exclude: np.ndarray | None = None,
-) -> SamplingSet:
-    """Draw n distinct nodes uniformly without replacement.
+) -> np.ndarray:
+    """Draw n distinct nodes uniformly without replacement, as an int64 index
+    array in draw order.
 
-    ``exclude`` removes nodes (e.g. zero-feature rows) from eligibility;
-    sampling stays uniform over the remaining ones.
+    ``exclude`` removes nodes (e.g. zero-feature rows and isolated nodes)
+    from eligibility; sampling stays uniform over the remaining ones.
     """
     rng = np.random.default_rng(seed)
     if exclude is not None and len(exclude):
@@ -76,35 +53,36 @@ def draw_sampling(
         indices = rng.choice(num_nodes, size=n, replace=False)
     else:
         indices = eligible[rng.choice(pool, size=n, replace=False)]
-    return SamplingSet(indices=indices.astype(np.int64), num_nodes=num_nodes)
+    return indices.astype(np.int64)
 
 
 def interpolate_all(
     features: FeatureMatrix,
-    sampling: SamplingSet,
+    sampled: np.ndarray,
     reduced: np.ndarray,
 ) -> np.ndarray:
     """Lift the k reduced indicators to all nodes in the span of F.
 
-    ``reduced`` is (n, k): one reduced indicator column per cluster. With F
-    the unnormalized filtered block (N, d), this solves the least-squares
-    problem beta = argmin ||F[sampled] beta - reduced|| (minimum norm when
-    n < d) and returns soft = F beta, (N, k). F is already computed, so the
+    ``reduced`` is (n, k): one reduced indicator column per cluster, its rows
+    in the order of the ``sampled`` node indices. With F the unnormalized
+    filtered block (N, d), this solves the least-squares problem
+    beta = argmin ||F[sampled] beta - reduced|| (minimum norm when n < d)
+    and returns soft = F beta, (N, k). F is already computed, so the
     lift makes no Laplacian application.
     """
-    if reduced.shape[0] != sampling.size:
-        raise ValueError(f"reduced indicators have {reduced.shape[0]} rows, sampling has {sampling.size}")
+    if reduced.shape[0] != sampled.size:
+        raise ValueError(f"reduced indicators have {reduced.shape[0]} rows, sampling has {sampled.size}")
     F = features.filtered
-    beta = np.linalg.lstsq(F[sampling.indices], reduced, rcond=None)[0]
+    beta = np.linalg.lstsq(F[sampled], reduced, rcond=None)[0]
     return F @ beta
 
 
-def assign(soft: np.ndarray, *, return_info: bool = False):
+def assign(soft: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hard labels from soft indicators: argmax of c_j(i) / ||c_j||.
 
     Ties break toward the lowest cluster index. Nodes whose indicator row is
-    identically zero fall back to the raw argmax (still lowest index) and are
-    reported.
+    identically zero fall back to the raw argmax (still lowest index); they
+    are returned, with the labels, as ``(labels, fallback_nodes)``.
     """
     soft = np.asarray(soft, dtype=np.float64)
     if soft.ndim != 2:
@@ -120,6 +98,4 @@ def assign(soft: np.ndarray, *, return_info: bool = False):
     if fallback.size:
         logger.warning("%d node(s) with all-zero indicators assigned by raw argmax: %s ...", fallback.size, fallback[:10].tolist())
         labels[fallback] = soft[fallback].argmax(axis=1)
-    if return_info:
-        return labels, {"fallback_nodes": fallback}
-    return labels
+    return labels, fallback

@@ -17,7 +17,7 @@ import json
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -25,6 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._rng import substream, substream_seed
+from .filters import DEFAULT_FILTER_ORDER
 from .graph import Graph, _from_scipy, laplacian_op
 from .pipeline import CscParams, run_csc, run_sc_baseline
 
@@ -63,13 +64,6 @@ class SbmConfig:
     @property
     def q2(self) -> float:
         return self.epsilon * self.q1
-
-
-@dataclass
-class MetricReport:
-    ari: float
-    modularity: float
-    metadata: dict[str, Any] = field(default_factory=dict)
 
 
 def critical_epsilon(avg_degree: float, k: int) -> float:
@@ -296,7 +290,7 @@ def _execute_run(run: dict[str, Any]) -> dict[str, Any]:
                 k=cfg.k,
                 n=run.get("n"),
                 d=run.get("d"),
-                p=int(run.get("p", 50)),
+                p=int(run.get("p", DEFAULT_FILTER_ORDER)),
                 seed=substream_seed(run["seed"], "pipeline"),
             )
             result = run_csc(op, params)

@@ -27,12 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import chebyshev_terms, design_lowpass
+from .filters import DEFAULT_FILTER_ORDER, chebyshev_terms, design_lowpass
 from .graph import LaplacianOp
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_FILTER_ORDER = 50
 # interior points of (0, 2) on which the count curve is read
 GRID_POINTS = 800
 # a rise of the count beyond this many standard errors is not noise

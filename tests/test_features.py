@@ -27,13 +27,13 @@ class TestGenerateSignals:
         norms = []
         for seed in range(100):
             sig = generate_signals(n, d, seed)
-            norms.append((sig.matrix**2).sum(axis=0).mean())
+            norms.append((sig**2).sum(axis=0).mean())
         assert abs(np.mean(norms) - n / d) <= 0.05 * n / d
 
     def test_deterministic(self):
         a = generate_signals(50, 5, 7)
         b = generate_signals(50, 5, 7)
-        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(a, b)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -65,7 +65,7 @@ class TestBuildFeatures:
         D = pdist(Uk / v[:, None])
         worst = 0.0
         for seed in range(3):
-            R = generate_signals(N, d, seed).matrix
+            R = generate_signals(N, d, seed)
             F = (Uk @ (Uk.T @ R)) / v[:, None]
             Dt = pdist(F)
             bad = (Dt < (1 - eps) * D) | (Dt > (1 + eps) * D)
@@ -78,10 +78,8 @@ class TestBuildFeatures:
         R = generate_signals(op.num_nodes, 12, 3)
         rng = np.random.default_rng(0)
         Q = np.linalg.qr(rng.standard_normal((12, 12)))[0]
-        rotated = generate_signals(op.num_nodes, 12, 3)
-        rotated.matrix[:] = R.matrix @ Q
         f1 = build_features(op, filt, R)
-        f2 = build_features(op, filt, rotated)
+        f2 = build_features(op, filt, R @ Q)
         idx = rng.choice(op.num_nodes, size=(50, 2))
         for i, j in idx:
             d1 = np.linalg.norm(f1.rows[i] - f1.rows[j])
@@ -90,9 +88,9 @@ class TestBuildFeatures:
 
     def test_zero_row_flagged_and_left_zero(self, k3_graph):
         op = laplacian_op(k3_graph)
-        ident = PolyFilter(coeffs=np.array([1.0]), cutoff=1.0, order=0, damping="none")
+        ident = PolyFilter(coeffs=np.array([1.0]))
         sig = generate_signals(3, 4, 0)
-        sig.matrix[1] = 0.0
+        sig[1] = 0.0
         feats = build_features(op, ident, sig)
         assert feats.zero_rows.tolist() == [1]
         assert np.all(feats.rows[1] == 0.0)
@@ -105,7 +103,7 @@ class TestBuildFeatures:
         filt = design_lowpass(0.45, 30)
         sig = generate_signals(op.num_nodes, 6, 5)
         feats = build_features(op, filt, sig)
-        assert np.array_equal(feats.filtered, apply_filter(filt, op, sig.matrix))
+        assert np.array_equal(feats.filtered, apply_filter(filt, op, sig))
         norms = np.linalg.norm(feats.filtered, axis=1)
         assert np.allclose(feats.rows * norms[:, None], feats.filtered, rtol=1e-14, atol=0)
 
@@ -115,11 +113,3 @@ class TestBuildFeatures:
         with caplog.at_level("WARNING"):
             build_features(op, filt, generate_signals(3, 1, 0))
         assert any("rank-1" in rec.message for rec in caplog.records)
-
-    def test_provenance_recorded(self, k3_graph):
-        op = laplacian_op(k3_graph)
-        filt = design_lowpass(0.9, 15, damping="none")
-        feats = build_features(op, filt, generate_signals(3, 4, 42))
-        assert feats.provenance["filter"]["cutoff"] == 0.9
-        assert feats.provenance["seed"] == 42
-        assert feats.normalized

@@ -52,19 +52,14 @@ class TestBuildGraph:
             build_graph([(0, 7, 1.0)], num_nodes=3)
 
     def test_self_loop_modes(self):
-        with pytest.raises(GraphError, match="self-loop"):
+        with pytest.raises(GraphError, match="self-loop on node 1"):
             build_graph([(1, 1, 1.0), (0, 1, 1.0)])
-        g = build_graph([(1, 1, 1.0), (0, 1, 1.0)], self_loops="drop")
-        assert g.num_edges == 1
-        assert g.adjacency().diagonal().sum() == 0.0
 
     def test_symmetrization_idempotent(self):
         rng = np.random.default_rng(3)
         g = random_graph(40, 0.15, rng)
         W = g.adjacency().tocoo()
-        rebuilt = build_graph(
-            np.column_stack([W.row, W.col, W.data]), num_nodes=g.num_nodes, self_loops="error"
-        )
+        rebuilt = build_graph(np.column_stack([W.row, W.col, W.data]), num_nodes=g.num_nodes)
         assert np.array_equal(rebuilt.indptr, g.indptr)
         assert np.array_equal(rebuilt.indices, g.indices)
         assert np.array_equal(rebuilt.weights, g.weights)

@@ -9,7 +9,6 @@ from cscluster import (
     SbmConfig,
     adjusted_rand_index,
     build_graph,
-    coherence,
     dense_eig,
     laplacian_op,
     run_sc_baseline,
@@ -57,34 +56,6 @@ class TestDenseEig:
         basis = dense_eig(laplacian_op(k3_graph))
         assert abs(basis.eigenvalues[0]) < 1e-12
         assert basis.eigenvalues[1] > 1e-8
-
-
-class TestCoherence:
-    def test_row_energy_sums_to_k(self, sbm500):
-        for k in (1, 5, 10, 50):
-            prof = coherence(sbm500["basis"], k)
-            assert abs(np.sum(prof.local**2) - k) < 1e-10
-
-    def test_global_bounds(self, sbm500):
-        n = sbm500["basis"].num_nodes
-        for k in (2, 10, 30):
-            prof = coherence(sbm500["basis"], k)
-            assert np.sqrt(k) - 1e-9 <= prof.global_ <= np.sqrt(n) + 1e-9
-
-    def test_equal_regular_clusters_hit_lower_bound(self):
-        g, _ = cliques_graph(4, 10)
-        basis = dense_eig(laplacian_op(g))
-        prof = coherence(basis, 4)
-        assert abs(prof.global_ - 2.0) < 1e-8  # sqrt(k) with k = 4
-
-    def test_k1_is_first_eigenvector_magnitude(self, p3_graph):
-        basis = dense_eig(laplacian_op(p3_graph))
-        prof = coherence(basis, 1)
-        assert np.allclose(prof.local, np.abs(basis.eigenvectors[:, 0]))
-
-    def test_bounds_validation(self, sbm500):
-        with pytest.raises(ValueError):
-            coherence(sbm500["basis"], 0)
 
 
 class TestSpectralClustering:

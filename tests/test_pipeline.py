@@ -7,13 +7,16 @@ import cscluster.pipeline
 from cscluster import (
     CscParams,
     DegenerateClusteringError,
-    KmeansConfig,
     LaplacianOp,
+    SbmConfig,
     adjusted_rand_index,
+    build_graph,
+    critical_epsilon,
     design_lowpass,
     laplacian_op,
     run_csc,
     run_sc_baseline,
+    sbm_generate,
 )
 from cscluster.kmeans import Labeling
 from cscluster.pipeline import default_num_samples, default_num_signals
@@ -33,8 +36,10 @@ class TestDefaults:
         assert (params.n, params.d) == (120, 30)  # d = max(4 ln 120, k + 10)
         with pytest.raises(ValueError, match="n="):
             CscParams(k=5, n=3).resolve(100)
-        with pytest.raises(ValueError, match="k must"):
-            CscParams(k=1).resolve(100)
+        for k in (1, 0, -3):
+            # k is checked before n = 2k ln k is derived from it
+            with pytest.raises(ValueError, match=f"k must be >= 2, got k={k}"):
+                CscParams(k=k).resolve(100)
         with pytest.raises(ValueError, match="exceeds"):
             CscParams(k=3, n=50).resolve(20)
 
@@ -51,15 +56,6 @@ class TestDefaults:
         assert default_num_samples(5) == 17
         params = CscParams(k=5).resolve(15)
         assert params.n == 15
-
-    def test_round_trip_dict(self):
-        params = CscParams(k=7, p=80, seed=5)
-        again = CscParams.from_dict(params.to_dict())
-        assert again == CscParams(k=7, n=params.n, d=params.d, p=80, seed=5)
-        with pytest.raises(ValueError, match="unknown"):
-            CscParams.from_dict({"k": 3, "shrink": True})
-        with pytest.raises(ValueError, match="gamma"):
-            CscParams.from_dict({"k": 3, "gamma": 1e-3})  # the CG decoder's weight
 
 
 class TestRunCsc:
@@ -174,8 +170,6 @@ class TestRunCsc:
 
     def test_zero_degree_nodes_interpolated(self):
         # isolated node: excluded from sampling, still labeled
-        from cscluster import build_graph
-
         edges = []
         for c in range(2):
             base = c * 6
@@ -186,6 +180,35 @@ class TestRunCsc:
         result = run_csc(laplacian_op(g), CscParams(k=2, seed=0))
         assert result.labels.shape == (13,)
         assert 12 not in result.diagnostics.get("zero_feature_rows", [])
+        # the default n = 17 for k = 5 is capped at the 12 nodes that can be
+        # sampled, not at all 13
+        result = run_csc(laplacian_op(g), CscParams(k=5, seed=0))
+        assert result.diagnostics["n"] == 12
+        assert result.labels.shape == (13,)
+
+
+    def test_isolated_nodes_never_sampled(self, monkeypatch):
+        # an isolated node filters to h(1) r_i, a tiny row that the row
+        # normalization would turn into a random unit row in the k-means input
+        cfg = SbmConfig(num_nodes=1000, k=5, avg_degree=16.0, epsilon=critical_epsilon(16.0, 5) / 4, seed=1)
+        W = sbm_generate(cfg)[0].adjacency().tocoo()
+        g = build_graph(np.column_stack([W.row, W.col, W.data]), num_nodes=1030)
+        isolated = g.isolated_nodes
+        assert isolated.tolist() == list(range(1000, 1030))
+        drawn = []
+        real_draw = cscluster.pipeline.draw_sampling
+
+        def recording_draw(*args, **kwargs):
+            drawn.append(real_draw(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(cscluster.pipeline, "draw_sampling", recording_draw)
+        op = laplacian_op(g)
+        for seed in range(10):
+            result = run_csc(op, CscParams(k=5, seed=seed))
+            assert result.labels.shape == (1030,)
+        assert len(drawn) == 10
+        assert not np.isin(np.concatenate(drawn), isolated).any()
 
 
 class TestRunScBaseline:
@@ -202,9 +225,3 @@ class TestRunScBaseline:
         a = run_sc_baseline(op, 3, seed=4)
         b = run_sc_baseline(op, 3, seed=4)
         assert a.to_json() == b.to_json()
-
-    def test_shared_kmeans_config(self):
-        g, _ = cliques_graph(2, 5)
-        cfg = KmeansConfig(k=2, replicates=3, max_iters=17, seed=1)
-        result = run_sc_baseline(laplacian_op(g), 2, cfg)
-        assert result.diagnostics["kmeans_iterations"] <= 17
