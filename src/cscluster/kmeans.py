@@ -1,11 +1,31 @@
-"""Lloyd k-means with k-means++ seeding, replicates and empty-cluster repair."""
+"""Lloyd k-means with k-means++ seeding, replicates and empty-cluster repair.
+
+Squared distances use the norm expansion |x - c|^2 = |x|^2 + |c|^2 - 2 x.c,
+clipped at 0. The squared row norms of the points are computed once for the
+seeding of a ``kmeans`` call and once per Lloyd run, so each k-means++ step
+is one GEMV (the chosen point's own distance set to exactly 0) and each
+assignment one GEMM into a q x k buffer reused across iterations. The
+centroid update is one grouped sum, a sparse one-hot (k x q) product divided
+by the cluster sizes. It adds each cluster's points in point order, as a
+masked mean does, so from given centroids the Lloyd iterations match a
+per-cluster loop bit for bit when the points have more than one column (numpy
+sums a one-column mean pairwise).
+
+The k-means++ draws are unchanged by this formulation: ``rng.integers`` for
+the first centroid, then ``rng.choice(q, p=D^2 / sum D^2)`` for each next one
+(``rng.integers`` when every distance is 0), in that order. A seed therefore
+draws the same centroids as the per-point difference ((x - c)^2).sum(),
+unless a draw falls within rounding of a boundary of the cumulative D^2.
+"""
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -23,6 +43,10 @@ class KmeansConfig:
             raise ValueError("k must be >= 1")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
 
 @dataclass
@@ -33,54 +57,70 @@ class Labeling:
     history: tuple[float, ...] = field(default=(), repr=False)
 
 
-def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # (Q, k) matrix of squared Euclidean distances, clipped at 0 for safety
-    pp = (points * points).sum(axis=1)[:, None]
-    cc = (centroids * centroids).sum(axis=1)[None, :]
-    return np.maximum(pp + cc - 2.0 * points @ centroids.T, 0.0)
-
-
-def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++: D^2 sampling."""
+def _seed_centroids(points: np.ndarray, pp: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++: D^2 sampling; ``pp`` holds the squared row norms of ``points``."""
     q = points.shape[0]
-    centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[rng.integers(q)]
-    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    picks = np.empty(k, dtype=np.int64)
+    picks[0] = rng.integers(q)
+    d2 = np.full(q, np.inf)
+    dist = np.empty(q)
     for j in range(1, k):
+        i = picks[j - 1]
+        # |x - c|^2 = |x|^2 + |c|^2 - 2 x.c: one GEMV; the chosen point is exactly 0
+        np.dot(points, points[i], out=dist)
+        dist *= -2.0
+        dist += pp
+        dist += pp[i]
+        np.maximum(dist, 0.0, out=dist)
+        dist[i] = 0.0
+        np.minimum(d2, dist, out=d2)
         total = d2.sum()
         if total > 0:
-            centroids[j] = points[rng.choice(q, p=d2 / total)]
+            picks[j] = rng.choice(q, p=d2 / total)
         else:
-            centroids[j] = points[rng.integers(q)]
-        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
-    return centroids
+            picks[j] = rng.integers(q)
+    return points[picks]
 
 
 def _lloyd(points, centroids, max_iters, tol):
     q = points.shape[0]
     k = centroids.shape[0]
+    pp = (points * points).sum(axis=1)[:, None]
+    rows = np.arange(q)
+    column_ptr = np.arange(q + 1)
+    ones = np.ones(q)
+    cross = np.empty((q, k))
+    dist = np.empty((q, k))
     history: list[float] = []
     labels = np.zeros(q, dtype=np.int64)
     inertia = np.inf
     iters = 0
     for it in range(max_iters):
-        D = _sq_dists(points, centroids)
-        labels = D.argmin(axis=1)  # argmin takes first minimum: ties go to lowest index
-        point_d2 = D[np.arange(q), labels]
+        # (q, k) squared distances pp + cc - 2 P C^T, clipped at 0 for safety
+        np.matmul(points, centroids.T, out=cross)
+        cross *= 2.0
+        np.add(pp, (centroids * centroids).sum(axis=1), out=dist)
+        dist -= cross
+        np.maximum(dist, 0.0, out=dist)
+        labels = dist.argmin(axis=1)  # argmin takes first minimum: ties go to lowest index
+        point_d2 = dist[rows, labels]
         new_inertia = float(point_d2.sum())
         history.append(new_inertia)
         iters = it + 1
-        repaired = False
+        # centroid update: one grouped sum, the product with the (k, q) one-hot
+        # matrix in CSC form (column i holds one 1, in row labels[i]); it adds
+        # each cluster's points in point order, as a masked mean does
         counts = np.bincount(labels, minlength=k)
-        for j in range(k):
-            if counts[j] > 0:
-                centroids[j] = points[labels == j].mean(axis=0)
-            else:
-                # reseed at the point farthest from its current centroid
-                far = int(point_d2.argmax())
-                centroids[j] = points[far]
-                point_d2[far] = 0.0  # successive empty clusters pick distinct points
-                repaired = True
+        filled = counts > 0
+        sums = sp.csc_array((ones, labels, column_ptr), shape=(k, q)) @ points
+        centroids[filled] = sums[filled] / counts[filled, None]
+        empty = np.flatnonzero(~filled)
+        for j in empty:
+            # reseed at the point farthest from its current centroid
+            far = int(point_d2.argmax())
+            centroids[j] = points[far]
+            point_d2[far] = 0.0  # successive empty clusters pick distinct points
+        repaired = empty.size > 0
         if not repaired and inertia - new_inertia <= tol * max(new_inertia, np.finfo(float).tiny):
             inertia = new_inertia
             break
@@ -101,11 +141,12 @@ def kmeans(points: np.ndarray, cfg: KmeansConfig) -> Labeling:
     if q < cfg.k:
         raise ValueError(f"need at least k={cfg.k} points, got {q}")
 
+    pp = (points * points).sum(axis=1)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.replicates)
     best: Labeling | None = None
     for rep, ss in enumerate(streams):
         rng = np.random.default_rng(ss)
-        centroids = _seed_centroids(points, cfg.k, rng)
+        centroids = _seed_centroids(points, pp, cfg.k, rng)
         labels, inertia, iters, history = _lloyd(points, centroids, cfg.max_iters, cfg.tol)
         if best is None or inertia < best.inertia:
             best = Labeling(labels=labels, inertia=inertia, iterations_run=iters, history=tuple(history))

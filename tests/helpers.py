@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cscluster import Graph, build_graph
+from cscluster import Graph, KmeansConfig, Labeling, build_graph
 
 
 def cliques_graph(k: int, size: int) -> tuple[Graph, np.ndarray]:
@@ -102,3 +102,75 @@ def spectral_filter_apply(basis, response_at):
 def ideal_projector_apply(basis, lam: float):
     """Exact ideal low-pass (spectral projector) at the given cut-off."""
     return spectral_filter_apply(basis, lambda w: (w <= lam).astype(np.float64))
+
+
+# Loop reference for ``cscluster.kmeans``: the per-point k-means++ distances,
+# the assignment recomputing every norm, and one masked mean per cluster.
+
+
+def loop_sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    # (Q, k) matrix of squared Euclidean distances, clipped at 0 for safety
+    pp = (points * points).sum(axis=1)[:, None]
+    cc = (centroids * centroids).sum(axis=1)[None, :]
+    return np.maximum(pp + cc - 2.0 * points @ centroids.T, 0.0)
+
+
+def loop_seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++: D^2 sampling."""
+    q = points.shape[0]
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[rng.integers(q)]
+    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            centroids[j] = points[rng.choice(q, p=d2 / total)]
+        else:
+            centroids[j] = points[rng.integers(q)]
+        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+    return centroids
+
+
+def loop_lloyd(points, centroids, max_iters, tol):
+    q = points.shape[0]
+    k = centroids.shape[0]
+    history: list[float] = []
+    labels = np.zeros(q, dtype=np.int64)
+    inertia = np.inf
+    iters = 0
+    for it in range(max_iters):
+        D = loop_sq_dists(points, centroids)
+        labels = D.argmin(axis=1)  # argmin takes first minimum: ties go to lowest index
+        point_d2 = D[np.arange(q), labels]
+        new_inertia = float(point_d2.sum())
+        history.append(new_inertia)
+        iters = it + 1
+        repaired = False
+        counts = np.bincount(labels, minlength=k)
+        for j in range(k):
+            if counts[j] > 0:
+                centroids[j] = points[labels == j].mean(axis=0)
+            else:
+                # reseed at the point farthest from its current centroid
+                far = int(point_d2.argmax())
+                centroids[j] = points[far]
+                point_d2[far] = 0.0  # successive empty clusters pick distinct points
+                repaired = True
+        if not repaired and inertia - new_inertia <= tol * max(new_inertia, np.finfo(float).tiny):
+            inertia = new_inertia
+            break
+        inertia = new_inertia
+    return labels, inertia, iters, history
+
+
+def loop_kmeans(points: np.ndarray, cfg: KmeansConfig) -> Labeling:
+    """``cscluster.kmeans`` with the loop reference inside: same streams, same order."""
+    points = np.asarray(points, dtype=np.float64)
+    best: Labeling | None = None
+    for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.replicates):
+        rng = np.random.default_rng(ss)
+        centroids = loop_seed_centroids(points, cfg.k, rng)
+        labels, inertia, iters, history = loop_lloyd(points, centroids, cfg.max_iters, cfg.tol)
+        if best is None or inertia < best.inertia:
+            best = Labeling(labels=labels, inertia=inertia, iterations_run=iters, history=tuple(history))
+    return best

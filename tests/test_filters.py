@@ -181,6 +181,19 @@ class TestApply:
             assert np.array_equal(t, c)
             np.testing.assert_allclose(t, e, atol=1e-10)
 
+    def test_accumulation_matches_term_sum(self, sbm500):
+        # the output is bitwise the series c_0 T_0 x + c_1 T_1 x + ... summed in order,
+        # so a rewrite of the accumulation (a reused buffer, say) must keep it
+        op = sbm500["op"]
+        filt = design_lowpass(0.7, 30)
+        rng = np.random.default_rng(7)
+        for x in (rng.standard_normal(op.num_nodes), rng.standard_normal((op.num_nodes, 4))):
+            terms = chebyshev_terms(op, x, filt.coeffs.size - 1)
+            expect = filt.coeffs[0] * next(terms)
+            for l, t in enumerate(terms, start=1):
+                expect = expect + filt.coeffs[l] * t
+            assert np.array_equal(apply_filter(filt, op, x), expect)
+
     def test_dimension_mismatch(self, k3_graph):
         op = laplacian_op(k3_graph)
         filt = design_lowpass(1.0, 5)

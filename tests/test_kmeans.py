@@ -5,6 +5,7 @@ import pytest
 
 from cscluster import KmeansConfig, adjusted_rand_index, kmeans, labels_to_indicators
 from cscluster.kmeans import _lloyd
+from helpers import loop_kmeans, loop_lloyd
 
 
 def _blobs(rng, k=4, per=30, dim=2, sep=10.0, std=1.0):
@@ -12,6 +13,12 @@ def _blobs(rng, k=4, per=30, dim=2, sep=10.0, std=1.0):
     pts = np.concatenate([centers[j] + std * rng.standard_normal((per, dim)) for j in range(k)])
     truth = np.repeat(np.arange(k), per)
     return pts, truth
+
+
+def _repair_input():
+    # one big tight blob and two far outliers: naive seeding often empties
+    rng = np.random.default_rng(6)
+    return np.concatenate([rng.standard_normal((60, 2)) * 0.1, [[50.0, 0.0]], [[0.0, 50.0]]])
 
 
 class TestKmeans:
@@ -76,17 +83,56 @@ class TestKmeans:
         assert np.all(out.labels == 0) or len(set(out.labels.tolist())) == 2
 
     def test_empty_cluster_repair_keeps_k_clusters(self):
-        rng = np.random.default_rng(6)
-        # one big tight blob and two far outliers: naive seeding often empties
-        pts = np.concatenate([rng.standard_normal((60, 2)) * 0.1, [[50.0, 0.0]], [[0.0, 50.0]]])
-        out = kmeans(pts, KmeansConfig(k=3, replicates=5, seed=1))
+        out = kmeans(_repair_input(), KmeansConfig(k=3, replicates=5, seed=1))
         assert len(set(out.labels.tolist())) == 3
 
+    def test_coincident_float_rows(self):
+        # the norm expansion leaves equal non-integer rows a rounding error apart
+        rows = np.random.default_rng(0).standard_normal((5, 7))
+        pts = np.repeat(rows, 3, axis=0)
+        out = kmeans(pts, KmeansConfig(k=5, seed=0))
+        assert out.inertia <= 1e-12
+        groups = sorted(np.flatnonzero(out.labels == j).tolist() for j in range(5))
+        assert groups == [[3 * r, 3 * r + 1, 3 * r + 2] for r in range(5)]
+
+    @pytest.mark.parametrize("case", ["blobs-k4", "gaussian-500x20-k40", "repair-input"])
+    def test_matches_loop_reference(self, case):
+        if case == "blobs-k4":
+            pts, _ = _blobs(np.random.default_rng(0), sep=20.0, std=0.5)
+            cfg = KmeansConfig(k=4, seed=0)
+        elif case == "gaussian-500x20-k40":
+            pts = np.random.default_rng(10).standard_normal((500, 20))
+            cfg = KmeansConfig(k=40, replicates=3, seed=2)
+        else:
+            pts = _repair_input()
+            cfg = KmeansConfig(k=3, replicates=5, seed=1)
+        got = kmeans(pts, cfg)
+        ref = loop_kmeans(pts, cfg)
+        assert np.array_equal(got.labels, ref.labels)
+        assert got.iterations_run == ref.iterations_run
+        assert got.inertia == pytest.approx(ref.inertia, rel=1e-12, abs=0.0)
+
+    def test_lloyd_repair_matches_loop_reference(self):
+        # two centroids start empty: both reseed, at distinct farthest points
+        pts = _repair_input()
+        init = np.array([[0.0, 0.0], [0.0, 0.0], [100.0, 100.0]])
+        got = _lloyd(pts, init.copy(), 100, 1e-6)
+        ref = loop_lloyd(pts, init.copy(), 100, 1e-6)
+        assert np.array_equal(got[0], ref[0]) and got[1:] == ref[1:]
+        assert sorted(np.bincount(got[0]).tolist()) == [1, 1, 60]
+
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k must"):
             KmeansConfig(k=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="replicates"):
             KmeansConfig(k=2, replicates=0)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_iters"):
+                KmeansConfig(k=2, max_iters=bad)
+        for bad in (-1e-9, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tol"):
+                KmeansConfig(k=2, tol=bad)
+        KmeansConfig(k=2, max_iters=1, tol=0.0)
 
 
 class TestLabelsToIndicators:
