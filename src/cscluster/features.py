@@ -50,15 +50,17 @@ def generate_signals(
 def build_features(op: LaplacianOp, filt: PolyFilter, signals: np.ndarray) -> FeatureMatrix:
     """Filter the signals and normalize each node's row to unit length.
 
-    The unnormalized block F = h(L) R is kept as ``filtered``: the
-    interpolation lifts the labels in its span. Rows whose filtered norm
-    underflows to zero are flagged, left as zero vectors, and should be
-    excluded from sampling (they carry no usable geometry; interpolation
-    still assigns them a label).
+    The filter runs in the signals' dtype (float32 signals take the faster
+    float32 recurrence); its result is made float64 once, so ``filtered`` and
+    ``rows`` are float64 either way. The unnormalized block F = h(L) R is
+    kept as ``filtered``: the interpolation lifts the labels in its span.
+    Rows whose filtered norm underflows to zero are flagged, left as zero
+    vectors, and should be excluded from sampling (they carry no usable
+    geometry; interpolation still assigns them a label).
     """
     if signals.shape[1] == 1:
         logger.warning("single random signal: rank-1 embedding, distances are degenerate")
-    filtered = apply_filter(filt, op, signals)
+    filtered = apply_filter(filt, op, signals).astype(np.float64, copy=False)
     norms = np.linalg.norm(filtered, axis=1)
     zero_rows = np.flatnonzero(norms <= _ZERO_ROW_TOL)
     if zero_rows.size:

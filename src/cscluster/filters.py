@@ -17,8 +17,10 @@ stores, i.e. only sparse matrix products: the dense filter operator is never
 materialized. Each step costs one ``LaplacianOp.apply`` and runs in place on
 the fresh array it returns. ``chebyshev_terms`` is that recurrence, the only
 one in the package: ``apply_filter`` and the eigenvalue-count moments of
-``spectrum`` both consume it. The scalar response ``PolyFilter.evaluate`` is
-numpy's ``chebval``.
+``spectrum`` both consume it. The recurrence runs in the signals' dtype:
+float32 signals stay float32 through every term and through the
+accumulation of ``apply_filter``, any other signal runs in float64. The
+scalar response ``PolyFilter.evaluate`` is numpy's ``chebval``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Iterator
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
-from .graph import LaplacianOp
+from .graph import LaplacianOp, signal_array
 
 # order p of every Chebyshev filter unless a caller asks for another
 DEFAULT_FILTER_ORDER = 50
@@ -77,11 +79,13 @@ def design_lowpass(cutoff: float, order: int, damping: str = "jackson") -> PolyF
 
 def apply_filter(filt: PolyFilter, op: LaplacianOp, x: np.ndarray) -> np.ndarray:
     """Filter one signal or d columns of signals: h(L) x via the Chebyshev
-    recurrence, cost O(order * #E * d)."""
-    x = np.asarray(x, dtype=np.float64)
+    recurrence, cost O(order * #E * d), in float32 for float32 signals and in
+    float64 for any other."""
+    x = signal_array(x)
     if x.shape[0] != op.num_nodes:
         raise ValueError(f"signal has {x.shape[0]} rows, graph has {op.num_nodes} nodes")
-    c = filt.coeffs
+    # a float64 coefficient would promote a float32 term to float64 (NEP 50)
+    c = filt.coeffs.astype(x.dtype, copy=False)
     terms = chebyshev_terms(op, x, c.size - 1)
     out = c[0] * next(terms)
     for l, t in enumerate(terms, start=1):

@@ -133,13 +133,20 @@ class LaplacianOp:
     application to d signal columns is one sparse product with S plus one
     pass over the N x d result: O(#E d).
 
-    Immutable after construction (the cached S aside, whose build is
-    idempotent); ``apply`` is reentrant and works columnwise on matrices.
+    S is cached per signal dtype: float32 signals are applied to a float32
+    copy of S's data on the same index arrays, built on their first use,
+    and give float32 results; any other signal is applied in float64. The
+    sparse product is bound by memory traffic, so float32 blocks cut the
+    time of an application by a third or more.
+
+    Immutable after construction (the cached copies of S aside, whose builds
+    are idempotent); ``apply`` is reentrant and works columnwise on matrices.
     """
 
     graph: Graph
     d_inv_sqrt: np.ndarray
     _s: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
+    _s32: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_nodes(self) -> int:
@@ -158,13 +165,22 @@ class LaplacianOp:
             self._s = sp.csr_matrix((data, g.indices, g.indptr), shape=self.shape)
         return self._s
 
+    def _adjacency_float32(self) -> sp.csr_matrix:
+        """S with float32 data on the index arrays of the float64 S."""
+        if self._s32 is None:
+            s = self.normalized_adjacency()
+            self._s32 = sp.csr_matrix((s.data.astype(np.float32), s.indices, s.indptr), shape=self.shape)
+        return self._s32
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Return L x = x - S x for a vector or an N-row matrix of signals,
-        as a fresh array that the caller owns."""
-        x = np.asarray(x, dtype=np.float64)
+        as a fresh array that the caller owns, in float32 for float32
+        signals and in float64 for any other."""
+        x = signal_array(x)
         if x.shape[0] != self.num_nodes:
             raise ValueError(f"signal has {x.shape[0]} rows, graph has {self.num_nodes} nodes")
-        out = self.normalized_adjacency() @ x
+        s = self._adjacency_float32() if x.dtype == np.float32 else self.normalized_adjacency()
+        out = s @ x
         np.subtract(x, out, out=out)
         return out
 
@@ -173,6 +189,13 @@ class LaplacianOp:
         W = self.graph.adjacency().toarray()
         S = self.d_inv_sqrt
         return np.eye(self.num_nodes) - S[:, None] * W * S[None, :]
+
+
+def signal_array(x) -> np.ndarray:
+    """``x`` as an array of graph signals: float32 stays float32, anything
+    else becomes float64 (without a copy when it already is)."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
 def laplacian_op(graph: Graph) -> LaplacianOp:

@@ -194,6 +194,19 @@ class TestApply:
                 expect = expect + filt.coeffs[l] * t
             assert np.array_equal(apply_filter(filt, op, x), expect)
 
+    def test_float32_recurrence_tracks_float64(self, sbm500):
+        # float32 signals are filtered in float32 all the way, and land
+        # within float32 rounding of the float64 filter
+        op = sbm500["op"]
+        x = generate_signals(op.num_nodes, 20, seed=1)
+        for cutoff in (0.2, 0.45, 1.0):
+            filt = design_lowpass(cutoff, 50)
+            ref = apply_filter(filt, op, x)
+            got = apply_filter(filt, op, x.astype(np.float32))
+            assert got.dtype == np.float32
+            err = np.linalg.norm(got - ref, axis=0) / np.linalg.norm(ref, axis=0)
+            assert err.max() <= 1e-5, cutoff
+
     def test_dimension_mismatch(self, k3_graph):
         op = laplacian_op(k3_graph)
         filt = design_lowpass(1.0, 5)

@@ -141,27 +141,53 @@ class TestLaplacianOp:
         op.apply(np.ones(4))
         assert op._s is S
 
+    def test_float32_signals_apply_in_float32(self):
+        # float32 in, float32 out, within float32 rounding of the float64
+        # apply; the float32 S shares its index arrays with S, and float64
+        # results stay bitwise what S @ x gives
+        rng = np.random.default_rng(15)
+        g = random_graph(200, 0.05, rng)
+        op = laplacian_op(g)
+        X = rng.standard_normal((g.num_nodes, 4))
+        expect = X - op.normalized_adjacency() @ X
+        assert op._s32 is None
+        got = op.apply(X.astype(np.float32))
+        assert got.dtype == np.float32
+        S32 = op._s32
+        assert S32.dtype == np.float32
+        assert np.shares_memory(S32.indices, op.normalized_adjacency().indices)
+        assert np.shares_memory(S32.indptr, op.normalized_adjacency().indptr)
+        err = np.linalg.norm(got - op.apply(X), axis=0) / np.linalg.norm(X, axis=0)
+        assert err.max() <= 1e-6
+        assert op.apply(X.astype(np.float32)).dtype == np.float32 and op._s32 is S32
+        for x in (X, X[:, 0], X.tolist()):
+            out = op.apply(x)
+            assert out.dtype == np.float64
+            assert np.array_equal(out, expect if np.ndim(x) == 2 else expect[:, 0])
+
     def test_concurrent_first_use_agrees(self):
-        # racing first applications may each build S; every result is the same
+        # racing first applications may each build S, or its float32 copy;
+        # every result is the same
         rng = np.random.default_rng(14)
         g = random_graph(80, 0.1, rng)
-        X = rng.standard_normal((g.num_nodes, 3))
-        ref = laplacian_op(g).apply(X)
-        op = laplacian_op(g)
-        results = []
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=lambda: results.append(op.apply(X))) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(t.is_alive() for t in threads)
-        assert len(results) == 8
-        assert all(np.array_equal(r, ref) for r in results)
+        X64 = rng.standard_normal((g.num_nodes, 3))
+        for X in (X64, X64.astype(np.float32)):
+            ref = laplacian_op(g).apply(X)
+            op = laplacian_op(g)
+            results = []
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=lambda: results.append(op.apply(X))) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+            finally:
+                sys.setswitchinterval(switch)
+            assert not any(t.is_alive() for t in threads)
+            assert len(results) == 8
+            assert all(r.dtype == X.dtype and np.array_equal(r, ref) for r in results)
 
 
 class TestEdgeListIO:

@@ -108,15 +108,19 @@ class TestRunCsc:
 
     def test_operator_work_count(self, sbm500, monkeypatch):
         # p applications on the probe signals, p on the d signals, none after
-        # the k-means: a perf regression check that is never flaky
+        # the k-means, all on float32 blocks (a silent promotion to float64
+        # would cost the float32 speed-up): a perf regression check that is
+        # never flaky
         op = sbm500["op"]
         N, k, p = op.num_nodes, sbm500["k"], 30
         columns: list[int] = []
+        dtypes: set[np.dtype] = set()
         real_apply, real_kmeans = LaplacianOp.apply, cscluster.pipeline.kmeans
         calls_at_kmeans: list[int] = []
 
         def counting_apply(self, x):
             columns.append(x.shape[1])
+            dtypes.add(x.dtype)
             return real_apply(self, x)
 
         def marking_kmeans(points, cfg):
@@ -129,10 +133,12 @@ class TestRunCsc:
         assert d["d"] == k + 10 != default_probe_signals(N)
         assert columns == [default_probe_signals(N)] * p + [d["d"]] * p
         assert calls_at_kmeans == [2 * p]
+        assert dtypes == {np.dtype(np.float32)}
 
         columns.clear()
         d = run_csc(op, CscParams(k=k, p=p, seed=0, lambda_k=0.45)).diagnostics
         assert columns == [d["d"]] * p
+        assert dtypes == {np.dtype(np.float32)}
 
     def test_stage_times_sum_to_total(self):
         g, _ = cliques_graph(5, 30)  # big enough that overhead is negligible

@@ -5,16 +5,21 @@ import pytest
 import scipy.stats
 
 from cscluster import (
+    CscParams,
     FeatureMatrix,
     LaplacianOp,
+    SbmConfig,
     adjusted_rand_index,
     assign,
     build_features,
+    critical_epsilon,
+    dense_eig,
     design_lowpass,
     draw_sampling,
     generate_signals,
     interpolate_all,
     laplacian_op,
+    sbm_generate,
 )
 from helpers import cliques_graph
 
@@ -126,6 +131,27 @@ class TestInterpolate:
         residual = soft[sampled] - reduced
         assert np.linalg.norm(residual) > 0.1  # n > d: the fit is not exact
         assert np.abs(A.T @ residual).max() <= 1e-10 * np.linalg.norm(A) * np.linalg.norm(reduced)
+
+    def test_minimum_norm_lift_interpolates_when_d_exceeds_n(self):
+        # k = 3 takes n = 7 samples and d = 13 signals: F[sampled] is wide,
+        # and the minimum-norm least-squares fit reproduces the reduced
+        # indicators on the sampled nodes exactly (this pins the
+        # interpolation, not the quality of the labels)
+        k = 3
+        cfg = SbmConfig(num_nodes=600, k=k, avg_degree=16.0, epsilon=critical_epsilon(16.0, k) / 4, seed=11)
+        graph, truth = sbm_generate(cfg)
+        op = laplacian_op(graph)
+        prm = CscParams(k=k).resolve(op.num_nodes)
+        assert (prm.n, prm.d) == (7, 13)
+        w = dense_eig(op, vectors=False).eigenvalues
+        signals = generate_signals(op.num_nodes, prm.d, seed=2).astype(np.float32)
+        feats = build_features(op, design_lowpass(0.5 * (w[k - 1] + w[k]), prm.p), signals)
+        sampled = draw_sampling(op.num_nodes, prm.n, 3)
+        reduced = np.zeros((prm.n, k))
+        reduced[np.arange(prm.n), truth[sampled]] = 1.0
+        soft = interpolate_all(feats, sampled, reduced)
+        assert soft.dtype == np.float64
+        assert np.linalg.norm(soft[sampled] - reduced) <= 1e-9 * np.linalg.norm(reduced)
 
     def test_work_is_deterministic_count(self, sbm500, monkeypatch):
         # the lift reuses the filtered block: no Laplacian application

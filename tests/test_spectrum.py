@@ -16,14 +16,15 @@ from cscluster import (
     sbm_generate,
 )
 from cscluster._rng import substream
-from cscluster.spectrum import default_probe_signals
+from cscluster.spectrum import default_probe_signals, probe_signals
 from helpers import cliques_graph
 
 
 def probe_counts(op, lams, *, order=50, num_signals=None, seed=0):
-    """Count curve at ``lams`` from the moments of Gaussian probe signals."""
+    """Count curve at ``lams`` from the moments of the pipeline's float32
+    Gaussian probe signals."""
     ds = num_signals or default_probe_signals(op.num_nodes)
-    signals = np.random.default_rng(seed).standard_normal((op.num_nodes, ds)) / np.sqrt(ds)
+    signals = probe_signals(op.num_nodes, ds, np.random.default_rng(seed))
     return count_curve(chebyshev_moments(op, signals, order), lams)
 
 
@@ -53,6 +54,20 @@ class TestEigencount:
                 T_prev, T_cur = T_cur, 2.0 * Y @ T_cur - T_prev
                 expect.append(np.einsum("ij,ij->j", R, T_cur @ R))
             np.testing.assert_allclose(mu, np.array(expect), atol=1e-10)
+
+    def test_float32_moments_track_float64(self, sbm500):
+        # the probe's float32 recurrence moves the count curve by far less
+        # than the TOL_FLOOR of one half a rise must exceed, on the whole grid
+        op = sbm500["op"]
+        lams = np.linspace(0.0, 2.0, 802)[1:-1]
+        for seed in range(3):
+            signals = probe_signals(op.num_nodes, default_probe_signals(op.num_nodes), np.random.default_rng(seed))
+            assert signals.dtype == np.float32
+            mu32 = chebyshev_moments(op, signals, 50)
+            assert mu32.dtype == np.float64
+            c32, _ = count_curve(mu32, lams)
+            c64, _ = count_curve(chebyshev_moments(op, signals.astype(np.float64), 50), lams)
+            assert np.abs(c32 - c64).max() <= 0.01, seed
 
     @pytest.mark.slow
     def test_gap_count_hits_k(self, sbm1000_gap):
