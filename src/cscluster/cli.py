@@ -20,8 +20,8 @@ import numpy as np
 from . import __version__
 from .filters import DEFAULT_FILTER_ORDER
 from .graph import GraphError, laplacian_op, read_edge_list, write_edge_list
-from .oracle import DEFAULT_DENSE_CAP, DenseCapError
-from .pipeline import CscParams, DegenerateClusteringError, run_csc, run_sc_baseline
+from .oracle import DEFAULT_DENSE_CAP, DenseCapError, run_sc_baseline
+from .pipeline import CscParams, DegenerateClusteringError, run_csc
 from .sbm import SbmConfig, critical_epsilon, sbm_generate, sweep
 
 EXIT_OK = 0

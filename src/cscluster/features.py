@@ -4,14 +4,13 @@ Filtering d random signals with a low-pass polynomial at the k-th eigenvalue
 gives every node a d-dimensional feature vector whose pairwise distances
 approximate the spectral-clustering feature distances; the row normalization
 stands in for the unknown local coherences, whose values the filtered row
-norms approximate. ``generate_signals`` draws the N x d block R as a plain
-array, and ``build_features`` filters it once.
+norms approximate. ``generate_signals`` draws the N x d block R, and
+``build_features`` filters it once and returns plain arrays.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,19 +18,6 @@ from .filters import PolyFilter, apply_filter
 from .graph import LaplacianOp
 
 logger = logging.getLogger(__name__)
-
-_ZERO_ROW_TOL = 1e-300
-
-
-@dataclass
-class FeatureMatrix:
-    """Per-node feature rows (unit length, zero on ``zero_rows``), the
-    filtered block they were normalized from, and the nodes whose filtered
-    row is zero."""
-
-    rows: np.ndarray
-    filtered: np.ndarray
-    zero_rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
 
 def generate_signals(
@@ -47,26 +33,19 @@ def generate_signals(
     return rng.standard_normal((num_nodes, num_signals)) / np.sqrt(num_signals)
 
 
-def build_features(op: LaplacianOp, filt: PolyFilter, signals: np.ndarray) -> FeatureMatrix:
+def build_features(op: LaplacianOp, filt: PolyFilter, signals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Filter the signals and normalize each node's row to unit length.
 
-    The filter runs in the signals' dtype (float32 signals take the faster
-    float32 recurrence); its result is made float64 once, so ``filtered`` and
-    ``rows`` are float64 either way. The unnormalized block F = h(L) R is
-    kept as ``filtered``: the interpolation lifts the labels in its span.
-    Rows whose filtered norm underflows to zero are flagged, left as zero
-    vectors, and should be excluded from sampling (they carry no usable
-    geometry; interpolation still assigns them a label).
+    Returns ``(rows, filtered)``: the unnormalized block F = h(L) R, which
+    the interpolation lifts the labels in, and its rows divided by their
+    norms. The filter runs in the signals' dtype (float32 signals take the
+    faster float32 recurrence); its result is made float64 once, so both
+    arrays are float64 either way. The Jackson-damped low-pass h is
+    positive on [0, 2], so h(L) is positive definite and a zero row of F
+    has probability 0.
     """
     if signals.shape[1] == 1:
         logger.warning("single random signal: rank-1 embedding, distances are degenerate")
     filtered = apply_filter(filt, op, signals).astype(np.float64, copy=False)
-    norms = np.linalg.norm(filtered, axis=1)
-    zero_rows = np.flatnonzero(norms <= _ZERO_ROW_TOL)
-    if zero_rows.size:
-        logger.warning("%d feature row(s) with zero norm (nodes %s ...)", zero_rows.size, zero_rows[:10].tolist())
-    safe = norms.copy()
-    safe[zero_rows] = 1.0
-    rows = filtered / safe[:, None]
-    rows[zero_rows] = 0.0
-    return FeatureMatrix(rows=rows, filtered=filtered, zero_rows=zero_rows)
+    rows = filtered / np.linalg.norm(filtered, axis=1)[:, None]
+    return rows, filtered

@@ -21,8 +21,7 @@ unless a draw falls within rounding of a boundary of the cumulative D^2.
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,23 +29,11 @@ import scipy.sparse as sp
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class KmeansConfig:
-    k: int
-    replicates: int = 20
-    max_iters: int = 100
-    tol: float = 1e-6  # relative inertia change
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
+# Lloyd runs per call, each from its own k-means++ seeding; the best inertia wins
+REPLICATES = 20
+MAX_ITERS = 100
+# a run stops when its inertia falls by at most this fraction
+TOL = 1e-6
 
 
 @dataclass
@@ -54,7 +41,6 @@ class Labeling:
     labels: np.ndarray
     inertia: float
     iterations_run: int
-    history: tuple[float, ...] = field(default=(), repr=False)
 
 
 def _seed_centroids(points: np.ndarray, pp: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -91,7 +77,6 @@ def _lloyd(points, centroids, max_iters, tol):
     ones = np.ones(q)
     cross = np.empty((q, k))
     dist = np.empty((q, k))
-    history: list[float] = []
     labels = np.zeros(q, dtype=np.int64)
     inertia = np.inf
     iters = 0
@@ -105,7 +90,6 @@ def _lloyd(points, centroids, max_iters, tol):
         labels = dist.argmin(axis=1)  # argmin takes first minimum: ties go to lowest index
         point_d2 = dist[rows, labels]
         new_inertia = float(point_d2.sum())
-        history.append(new_inertia)
         iters = it + 1
         # centroid update: one grouped sum, the product with the (k, q) one-hot
         # matrix in CSC form (column i holds one 1, in row labels[i]); it adds
@@ -125,31 +109,32 @@ def _lloyd(points, centroids, max_iters, tol):
             inertia = new_inertia
             break
         inertia = new_inertia
-    return labels, inertia, iters, history
+    return labels, inertia, iters
 
 
-def kmeans(points: np.ndarray, cfg: KmeansConfig) -> Labeling:
-    """Best-inertia labeling over ``cfg.replicates`` seeded Lloyd runs.
+def kmeans(points: np.ndarray, k: int, seed: int) -> Labeling:
+    """Best-inertia labeling over ``REPLICATES`` seeded Lloyd runs.
 
-    Deterministic under a fixed cfg.seed (replicates use independent spawned
+    Deterministic under a fixed seed (replicates use independent spawned
     streams, executed in order).
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("points must be a 2-d array")
     q = points.shape[0]
-    if q < cfg.k:
-        raise ValueError(f"need at least k={cfg.k} points, got {q}")
+    if q < k:
+        raise ValueError(f"need at least k={k} points, got {q}")
 
     pp = (points * points).sum(axis=1)
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.replicates)
     best: Labeling | None = None
-    for rep, ss in enumerate(streams):
+    for ss in np.random.SeedSequence(seed).spawn(REPLICATES):
         rng = np.random.default_rng(ss)
-        centroids = _seed_centroids(points, pp, cfg.k, rng)
-        labels, inertia, iters, history = _lloyd(points, centroids, cfg.max_iters, cfg.tol)
+        centroids = _seed_centroids(points, pp, k, rng)
+        labels, inertia, iters = _lloyd(points, centroids, MAX_ITERS, TOL)
         if best is None or inertia < best.inertia:
-            best = Labeling(labels=labels, inertia=inertia, iterations_run=iters, history=tuple(history))
+            best = Labeling(labels=labels, inertia=inertia, iterations_run=iters)
     assert best is not None
     return best
 

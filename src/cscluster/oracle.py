@@ -1,9 +1,10 @@
 """Exact small-scale spectral machinery: the correctness oracle for everything else.
 
 ``dense_eig`` diagonalizes the normalized Laplacian with LAPACK
-(``scipy.linalg.eigh``); ``spectral_clustering`` is the standard k-way
-baseline (first k eigenvectors, row normalization, k-means). Both are meant
-for graphs small enough to densify. The paper's error terms (the filter's
+(``scipy.linalg.eigh``); ``run_sc_baseline`` is the standard k-way spectral
+clustering baseline (first k eigenvectors, row normalization, k-means), on
+that decomposition or on a given basis. Without a basis, both are meant for
+graphs small enough to densify. The paper's error terms (the filter's
 sup errors e1, e2 on the spectrum, the coherences of U_k) are one line each
 from an ``EigenBasis`` and ``PolyFilter.evaluate``, so the package keeps no
 helper for them.
@@ -18,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from ._rng import substream_seed
 from .graph import LaplacianOp
-from .kmeans import KmeansConfig, kmeans, labels_to_indicators
+from .kmeans import kmeans, labels_to_indicators
 from .result import ClusterResult
 
 logger = logging.getLogger(__name__)
@@ -71,31 +73,25 @@ def dense_eig(op: LaplacianOp, *, cap: int = DEFAULT_DENSE_CAP, vectors: bool = 
     return EigenBasis(eigenvalues=w, eigenvectors=np.empty((n, 0)))
 
 
-def spectral_clustering(
-    op: LaplacianOp,
-    k: int,
-    kmeans_cfg: KmeansConfig | None = None,
-    *,
-    cap: int = DEFAULT_DENSE_CAP,
-    basis: EigenBasis | None = None,
-) -> ClusterResult:
-    """Exact spectral clustering baseline.
+def run_sc_baseline(op: LaplacianOp, k: int, *, seed: int = 0, basis: EigenBasis | None = None) -> ClusterResult:
+    """Exact spectral clustering with the shared result schema.
 
     Steps: first k eigenvectors of L; rows normalized to unit length; k-means
-    on the resulting feature vectors. Nodes with (numerically) zero rows in
-    U_k are the pathologic case where normalization is undefined; they raise.
-    A precomputed ``basis`` skips the eigendecomposition.
+    on the resulting feature vectors, seeded from the same substream of
+    ``seed`` as ``run_csc``'s. Nodes with (numerically) zero rows in U_k are
+    the pathologic case where normalization is undefined; they raise. A
+    precomputed ``basis`` skips the eigendecomposition.
     """
     n = op.num_nodes
-    if not 1 <= k <= n:
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got k={k}")
+    if k > n:
         raise ValueError(f"k={k} out of range for N={n}")
-    cfg = kmeans_cfg or KmeansConfig(k=k)
-    if cfg.k != k:
-        raise ValueError(f"kmeans_cfg.k={cfg.k} does not match k={k}")
+    kmeans_seed = substream_seed(seed, "kmeans")
 
     t0 = time.perf_counter()
     if basis is None:
-        basis = dense_eig(op, cap=cap)
+        basis = dense_eig(op)
     t_eig = time.perf_counter() - t0
 
     w = basis.eigenvalues
@@ -111,7 +107,7 @@ def spectral_clustering(
     Y = Uk / norms[:, None]
 
     t1 = time.perf_counter()
-    labeling = kmeans(Y, cfg)
+    labeling = kmeans(Y, k, kmeans_seed)
     t_kmeans = time.perf_counter() - t1
 
     soft = labels_to_indicators(labeling.labels, k, n)
@@ -124,7 +120,7 @@ def spectral_clustering(
         "degenerate_eigenvalue_cut": degenerate_cut,
         "kmeans_inertia": labeling.inertia,
         "kmeans_iterations": labeling.iterations_run,
-        "seed": cfg.seed,
+        "seed": kmeans_seed,
         "timings": {"eig": t_eig, "kmeans": t_kmeans, "total": t_eig + t_kmeans},
     }
     return ClusterResult(labels=labeling.labels, soft=soft, diagnostics=diagnostics)

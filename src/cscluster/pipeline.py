@@ -5,7 +5,10 @@ with d = max(4 log n, k + 10) random signals (natural logs, rounded up): the
 k + 10 floor oversamples span(U_k) as a randomized range finder does, since
 the same filtered block carries both the features and the least-squares lift
 of the labels. All randomness derives from one master seed through named
-per-stage substreams, so runs are reproducible stage by stage.
+per-stage substreams, so runs are reproducible stage by stage. The stages
+hand each other plain arrays: the feature rows and the filtered block, the
+sampled node indices, the reduced indicators. The exact baseline that
+``run_csc`` is compared with is ``oracle.run_sc_baseline``.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ import numpy as np
 from ._rng import substream, substream_seed
 from .filters import DEFAULT_FILTER_ORDER, design_lowpass
 from .graph import LaplacianOp
-from .kmeans import KmeansConfig, kmeans, labels_to_indicators
-from .oracle import EigenBasis, spectral_clustering
+from .kmeans import kmeans, labels_to_indicators
 from .result import ClusterResult
 from .features import build_features, generate_signals
 from .sampling import assign, draw_sampling, interpolate_all
@@ -132,21 +134,18 @@ def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
     timings["signals"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     # the filter runs in float32 on the same draws; the features are float64
-    feats = build_features(op, lowpass, signals.astype(np.float32))
+    rows, filtered = build_features(op, lowpass, signals.astype(np.float32))
     timings["filter"] = time.perf_counter() - t0
-    if feats.zero_rows.size:
-        warnings.append(f"{feats.zero_rows.size} zero-norm feature rows")
 
     # 5. sampling: an isolated node filters to h(1) r_i, which row
     # normalization would turn into a random unit row
     t0 = time.perf_counter()
-    exclude = np.union1d(feats.zero_rows, op.graph.isolated_nodes)
-    sampled = draw_sampling(N, prm.n, substream(prm.seed, "sampling"), exclude=exclude)
+    sampled = draw_sampling(N, prm.n, substream(prm.seed, "sampling"), exclude=op.graph.isolated_nodes)
     timings["sampling"] = time.perf_counter() - t0
 
     # 6. reduced k-means
     t0 = time.perf_counter()
-    labeling = kmeans(feats.rows[sampled], KmeansConfig(k=prm.k, seed=substream_seed(prm.seed, "kmeans")))
+    labeling = kmeans(rows[sampled], prm.k, substream_seed(prm.seed, "kmeans"))
     counts = np.bincount(labeling.labels, minlength=prm.k)
     if np.any(counts == 0):
         raise DegenerateClusteringError(
@@ -157,7 +156,7 @@ def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
 
     # 7. interpolation + assignment
     t0 = time.perf_counter()
-    soft = interpolate_all(feats, sampled, reduced)
+    soft = interpolate_all(filtered, sampled, reduced)
     labels, fallback_nodes = assign(soft)
     timings["interpolate"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_run
@@ -184,15 +183,8 @@ def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
         # the lift is a direct solve, no iteration; perfbench still reads both keys
         "solver_iterations": [0] * prm.k,
         "solver_converged": [True] * prm.k,
-        "zero_feature_rows": feats.zero_rows.tolist(),
         "assign_fallback_nodes": fallback_nodes.tolist(),
         "warnings": warnings,
         "timings": timings,
     }
     return ClusterResult(labels=labels, soft=soft, diagnostics=diagnostics)
-
-
-def run_sc_baseline(op: LaplacianOp, k: int, *, seed: int = 0, basis: EigenBasis | None = None) -> ClusterResult:
-    """Exact spectral clustering with the shared result schema; k-means seeded
-    from the same substream of ``seed`` as ``run_csc``'s."""
-    return spectral_clustering(op, k, KmeansConfig(k=k, seed=substream_seed(seed, "kmeans")), basis=basis)

@@ -34,8 +34,8 @@ class ClusterResult:
     def num_clusters(self) -> int:
         return int(self.soft.shape[1])
 
-    def to_dict(self, *, include_timings: bool = False) -> dict[str, Any]:
-        diag = {k: _plain(v) for k, v in self.diagnostics.items() if include_timings or k != "timings"}
+    def to_dict(self) -> dict[str, Any]:
+        diag = {k: _plain(v) for k, v in self.diagnostics.items() if k != "timings"}
         return {
             "labels": [int(x) for x in self.labels],
             "num_clusters": self.num_clusters,
@@ -43,13 +43,13 @@ class ClusterResult:
             "diagnostics": diag,
         }
 
-    def to_json(self, *, include_timings: bool = False, indent: int | None = None) -> str:
-        """Deterministic JSON; timings are excluded by default so equal seeds
-        serialize byte-identically."""
-        return json.dumps(self.to_dict(include_timings=include_timings), sort_keys=True, indent=indent)
+    def to_json(self, *, indent: int | None = None) -> str:
+        """Deterministic JSON; timings are excluded so equal seeds serialize
+        byte-identically."""
+        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
-    def save_json(self, path: str | Path, *, include_timings: bool = False) -> None:
-        Path(path).write_text(self.to_json(include_timings=include_timings, indent=2) + "\n", encoding="utf-8")
+    def save_json(self, path: str | Path) -> None:
+        Path(path).write_text(self.to_json(indent=2) + "\n", encoding="utf-8")
 
     def save_labels_csv(self, path: str | Path) -> None:
         with Path(path).open("w", encoding="utf-8", newline="") as fh:

@@ -6,9 +6,9 @@ features were built from already span approximately the k lowest
 eigenvectors, so the lift is the least-squares fit of the sampled
 indicators by the sampled rows of F, evaluated on every node: the decoder
 of Puy, Tremblay, Gribonval & Vandergheynst restricted to span(F), with no
-further filtering pass. The sample is a plain array of node indices; nodes
-without usable features (zero filtered rows, isolated nodes) are excluded
-from it by the caller and still get a label from the lift.
+further filtering pass. The sample is a plain array of node indices;
+isolated nodes, whose features carry no geometry, are excluded from it by
+the caller and still get a label from the lift.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-
-from .features import FeatureMatrix
 
 __all__ = [
     "draw_sampling",
@@ -33,48 +31,35 @@ def draw_sampling(
     n: int,
     seed: int | np.random.Generator,
     *,
-    exclude: np.ndarray | None = None,
+    exclude: np.ndarray | tuple = (),
 ) -> np.ndarray:
     """Draw n distinct nodes uniformly without replacement, as an int64 index
     array in draw order.
 
-    ``exclude`` removes nodes (e.g. zero-feature rows and isolated nodes)
-    from eligibility; sampling stays uniform over the remaining ones.
+    ``exclude`` removes nodes (e.g. isolated nodes) from eligibility;
+    sampling stays uniform over the remaining ones.
     """
     rng = np.random.default_rng(seed)
-    if exclude is not None and len(exclude):
-        eligible = np.setdiff1d(np.arange(num_nodes), np.asarray(exclude, dtype=np.int64))
-    else:
-        eligible = None
-    pool = num_nodes if eligible is None else eligible.size
-    if not 1 <= n <= pool:
-        raise ValueError(f"cannot draw n={n} from {pool} eligible nodes")
-    if eligible is None:
-        indices = rng.choice(num_nodes, size=n, replace=False)
-    else:
-        indices = eligible[rng.choice(pool, size=n, replace=False)]
-    return indices.astype(np.int64)
+    eligible = np.setdiff1d(np.arange(num_nodes), exclude)
+    if not 1 <= n <= eligible.size:
+        raise ValueError(f"cannot draw n={n} from {eligible.size} eligible nodes")
+    return eligible[rng.choice(eligible.size, size=n, replace=False)]
 
 
-def interpolate_all(
-    features: FeatureMatrix,
-    sampled: np.ndarray,
-    reduced: np.ndarray,
-) -> np.ndarray:
+def interpolate_all(filtered: np.ndarray, sampled: np.ndarray, reduced: np.ndarray) -> np.ndarray:
     """Lift the k reduced indicators to all nodes in the span of F.
 
     ``reduced`` is (n, k): one reduced indicator column per cluster, its rows
-    in the order of the ``sampled`` node indices. With F the unnormalized
-    filtered block (N, d), this solves the least-squares problem
+    in the order of the ``sampled`` node indices. With F = ``filtered`` the
+    unnormalized filtered block (N, d), this solves the least-squares problem
     beta = argmin ||F[sampled] beta - reduced|| (minimum norm when n < d)
     and returns soft = F beta, (N, k). F is already computed, so the
     lift makes no Laplacian application.
     """
     if reduced.shape[0] != sampled.size:
         raise ValueError(f"reduced indicators have {reduced.shape[0]} rows, sampling has {sampled.size}")
-    F = features.filtered
-    beta = np.linalg.lstsq(F[sampled], reduced, rcond=None)[0]
-    return F @ beta
+    beta = np.linalg.lstsq(filtered[sampled], reduced, rcond=None)[0]
+    return filtered @ beta
 
 
 def assign(soft: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -27,7 +27,8 @@ import scipy.sparse as sp
 from ._rng import substream, substream_seed
 from .filters import DEFAULT_FILTER_ORDER
 from .graph import Graph, _from_scipy, laplacian_op
-from .pipeline import CscParams, run_csc, run_sc_baseline
+from .oracle import run_sc_baseline
+from .pipeline import CscParams, run_csc
 
 logger = logging.getLogger(__name__)
 

@@ -17,10 +17,11 @@ costs p applications (Di Napoli, Polizzi & Saad, arXiv:1308.4275; Weisse et
 al., Rev. Mod. Phys. 78, 275). The cut-off is read off that curve: the
 middle of the flat stretch of the curve whose count is nearest k.
 
-The probe signals are float32 (``probe_signals``), so the recurrence runs
-in float32; the moments are stored in float64. Against float64 moments of
-the same signals, the count curve moves by less than 0.01 of an
-eigenvalue, far below the ``TOL_FLOOR`` that a rise must exceed.
+The probe signals are the Gaussian draw of ``generate_signals`` cast to
+float32, so the recurrence runs in float32; the moments are stored in
+float64. Against float64 moments of the same signals, the count curve moves
+by less than 0.01 of an eigenvalue, far below the ``TOL_FLOOR`` that a rise
+must exceed.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .features import generate_signals
 from .filters import DEFAULT_FILTER_ORDER, chebyshev_terms, design_lowpass
 from .graph import LaplacianOp
 
@@ -58,11 +60,6 @@ class LambdaKEstimate:
 def default_probe_signals(num_nodes: int) -> int:
     """2 * ceil(ln N) probe signals."""
     return 2 * int(math.ceil(math.log(max(num_nodes, 2))))
-
-
-def probe_signals(num_nodes: int, num_signals: int, rng: np.random.Generator) -> np.ndarray:
-    """N x d float32 block of Gaussian probe signals of variance 1/d."""
-    return (rng.standard_normal((num_nodes, num_signals)) / np.sqrt(num_signals)).astype(np.float32)
 
 
 def _transition_halfwidth(lam: np.ndarray, order: int) -> np.ndarray:
@@ -166,7 +163,7 @@ def estimate_lambda_k(
     ds = num_signals if num_signals is not None else default_probe_signals(n)
     if ds < 2:
         raise ValueError("num_signals must be >= 2")
-    moments = chebyshev_moments(op, probe_signals(n, ds, rng), order)
+    moments = chebyshev_moments(op, generate_signals(n, ds, rng).astype(np.float32), order)
     count, se = _counts(_grid_rows(order), moments)
     tol = np.maximum(TOL_FLOOR, TOL_SE * se)
     width = 2.0 * _transition_halfwidth(_GRID, 2 * order)

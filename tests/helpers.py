@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from cscluster import Graph, KmeansConfig, Labeling, build_graph
+from cscluster import Graph, Labeling, build_graph
+from cscluster.kmeans import MAX_ITERS, REPLICATES, TOL
 
 
 def cliques_graph(k: int, size: int) -> tuple[Graph, np.ndarray]:
@@ -134,7 +135,6 @@ def loop_seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) ->
 def loop_lloyd(points, centroids, max_iters, tol):
     q = points.shape[0]
     k = centroids.shape[0]
-    history: list[float] = []
     labels = np.zeros(q, dtype=np.int64)
     inertia = np.inf
     iters = 0
@@ -143,7 +143,6 @@ def loop_lloyd(points, centroids, max_iters, tol):
         labels = D.argmin(axis=1)  # argmin takes first minimum: ties go to lowest index
         point_d2 = D[np.arange(q), labels]
         new_inertia = float(point_d2.sum())
-        history.append(new_inertia)
         iters = it + 1
         repaired = False
         counts = np.bincount(labels, minlength=k)
@@ -160,17 +159,17 @@ def loop_lloyd(points, centroids, max_iters, tol):
             inertia = new_inertia
             break
         inertia = new_inertia
-    return labels, inertia, iters, history
+    return labels, inertia, iters
 
 
-def loop_kmeans(points: np.ndarray, cfg: KmeansConfig) -> Labeling:
+def loop_kmeans(points: np.ndarray, k: int, seed: int) -> Labeling:
     """``cscluster.kmeans`` with the loop reference inside: same streams, same order."""
     points = np.asarray(points, dtype=np.float64)
     best: Labeling | None = None
-    for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.replicates):
+    for ss in np.random.SeedSequence(seed).spawn(REPLICATES):
         rng = np.random.default_rng(ss)
-        centroids = loop_seed_centroids(points, cfg.k, rng)
-        labels, inertia, iters, history = loop_lloyd(points, centroids, cfg.max_iters, cfg.tol)
+        centroids = loop_seed_centroids(points, k, rng)
+        labels, inertia, iters = loop_lloyd(points, centroids, MAX_ITERS, TOL)
         if best is None or inertia < best.inertia:
-            best = Labeling(labels=labels, inertia=inertia, iterations_run=iters, history=tuple(history))
+            best = Labeling(labels=labels, inertia=inertia, iterations_run=iters)
     return best

@@ -59,10 +59,12 @@ def test_generate_cluster_bench(tmp_path, sbm_files):
 
 def test_k_below_two_is_usage_error(tmp_path, sbm_files, capsys):
     edges, _ = sbm_files
-    for k in ("1", "0"):
-        argv = ["cluster", "--input", str(edges), "--output", str(tmp_path / "o.csv"), "--k", k]
-        assert main(argv) == EXIT_USAGE
-        assert f"k must be >= 2, got k={k}" in _error(capsys, EXIT_USAGE)
+    for method in ("csc", "sc"):
+        for k in ("1", "0"):
+            argv = ["cluster", "--input", str(edges), "--output", str(tmp_path / "o.csv"), "--method", method, "--k", k]
+            assert main(argv) == EXIT_USAGE
+            assert f"k must be >= 2, got k={k}" in _error(capsys, EXIT_USAGE)
+            assert not (tmp_path / "o.csv").exists()
 
 
 def test_dense_cap_is_numeric_failure(tmp_path, capsys, monkeypatch):

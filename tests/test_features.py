@@ -5,7 +5,6 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from cscluster import (
-    PolyFilter,
     apply_filter,
     build_features,
     design_lowpass,
@@ -46,12 +45,12 @@ class TestBuildFeatures:
         op = laplacian_op(g)
         # K10 components: next eigenvalue 10/9, far above the 0.5 cut-off
         filt = design_lowpass(0.5, 200)
-        feats = build_features(op, filt, generate_signals(30, 8, 0))
+        rows, _ = build_features(op, filt, generate_signals(30, 8, 0))
         for c in range(3):
-            rows = feats.rows[truth == c]
-            assert np.abs(rows - rows[0]).max() < 1e-4
-        assert np.linalg.norm(feats.rows[0] - feats.rows[1]) < 1e-4
-        assert np.linalg.norm(feats.rows[0] - feats.rows[10]) > 0.5
+            block = rows[truth == c]
+            assert np.abs(block - block[0]).max() < 1e-4
+        assert np.linalg.norm(rows[0] - rows[1]) < 1e-4
+        assert np.linalg.norm(rows[0] - rows[10]) > 0.5
 
     def test_distance_band_ideal_projector(self, sbm500):
         # JL-style check with the exact projector double, modest failure budget
@@ -78,34 +77,23 @@ class TestBuildFeatures:
         R = generate_signals(op.num_nodes, 12, 3)
         rng = np.random.default_rng(0)
         Q = np.linalg.qr(rng.standard_normal((12, 12)))[0]
-        f1 = build_features(op, filt, R)
-        f2 = build_features(op, filt, R @ Q)
+        rows1, _ = build_features(op, filt, R)
+        rows2, _ = build_features(op, filt, R @ Q)
         idx = rng.choice(op.num_nodes, size=(50, 2))
         for i, j in idx:
-            d1 = np.linalg.norm(f1.rows[i] - f1.rows[j])
-            d2 = np.linalg.norm(f2.rows[i] - f2.rows[j])
+            d1 = np.linalg.norm(rows1[i] - rows1[j])
+            d2 = np.linalg.norm(rows2[i] - rows2[j])
             assert abs(d1 - d2) < 1e-10
-
-    def test_zero_row_flagged_and_left_zero(self, k3_graph):
-        op = laplacian_op(k3_graph)
-        ident = PolyFilter(coeffs=np.array([1.0]))
-        sig = generate_signals(3, 4, 0)
-        sig[1] = 0.0
-        feats = build_features(op, ident, sig)
-        assert feats.zero_rows.tolist() == [1]
-        assert np.all(feats.rows[1] == 0.0)
-        norms = np.linalg.norm(feats.rows, axis=1)
-        assert np.allclose(norms[[0, 2]], 1.0)
 
     def test_filtered_block_kept_unnormalized(self, sbm500):
         # the lift needs F = h(L) R itself; rows are F with unit-norm rows
         op = sbm500["op"]
         filt = design_lowpass(0.45, 30)
         sig = generate_signals(op.num_nodes, 6, 5)
-        feats = build_features(op, filt, sig)
-        assert np.array_equal(feats.filtered, apply_filter(filt, op, sig))
-        norms = np.linalg.norm(feats.filtered, axis=1)
-        assert np.allclose(feats.rows * norms[:, None], feats.filtered, rtol=1e-14, atol=0)
+        rows, filtered = build_features(op, filt, sig)
+        assert np.array_equal(filtered, apply_filter(filt, op, sig))
+        norms = np.linalg.norm(filtered, axis=1)
+        assert np.allclose(rows * norms[:, None], filtered, rtol=1e-14, atol=0)
 
     def test_single_signal_warns(self, k3_graph, caplog):
         op = laplacian_op(k3_graph)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cscluster import KmeansConfig, adjusted_rand_index, kmeans, labels_to_indicators
+from cscluster import adjusted_rand_index, kmeans, labels_to_indicators
 from cscluster.kmeans import _lloyd
 from helpers import loop_kmeans, loop_lloyd
 
@@ -25,38 +25,40 @@ class TestKmeans:
     def test_separated_blobs_recovered(self):
         rng = np.random.default_rng(0)
         pts, truth = _blobs(rng, sep=20.0, std=0.5)
-        out = kmeans(pts, KmeansConfig(k=4, seed=0))
+        out = kmeans(pts, 4, 0)
         assert adjusted_rand_index(truth, out.labels) == 1.0
 
     def test_k1_inertia_is_total_variance(self):
         rng = np.random.default_rng(1)
         pts = rng.standard_normal((50, 3))
-        out = kmeans(pts, KmeansConfig(k=1, replicates=1, seed=0))
+        out = kmeans(pts, 1, 0)
         expected = float(((pts - pts.mean(axis=0)) ** 2).sum())
         assert np.all(out.labels == 0)
         assert out.inertia == pytest.approx(expected)
 
     def test_k_distinct_points_zero_inertia(self):
         pts = np.arange(5, dtype=float)[:, None] * 3.0
-        out = kmeans(pts, KmeansConfig(k=5, replicates=2, seed=0))
+        out = kmeans(pts, 5, 0)
         assert out.inertia == 0.0
         assert len(set(out.labels.tolist())) == 5
 
     def test_duplicate_pairs_zero_inertia(self):
         pts = np.repeat(np.arange(3, dtype=float)[:, None] * 5.0, 2, axis=0)
-        out = kmeans(pts, KmeansConfig(k=3, seed=0))
+        out = kmeans(pts, 3, 0)
         assert out.inertia == 0.0
 
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="at least"):
-            kmeans(np.zeros((2, 2)), KmeansConfig(k=3))
+            kmeans(np.zeros((2, 2)), 3, 0)
 
     def test_lloyd_inertia_monotone(self):
+        # with tol 0 a run stops only once its inertia stops falling: the
+        # inertia after at most m iterations must not rise with m
         rng = np.random.default_rng(2)
         pts = rng.standard_normal((200, 4))
-        out = kmeans(pts, KmeansConfig(k=6, replicates=1, seed=3))
-        hist = np.array(out.history)
-        assert np.all(np.diff(hist) <= 1e-9)
+        c0 = pts[rng.choice(200, size=6, replace=False)]
+        inertia = [_lloyd(pts, c0.copy(), m, 0.0)[1] for m in range(1, 11)]
+        assert np.all(np.diff(inertia) <= 1e-9)
 
     def test_permutation_equivariance_matched_init(self):
         # Lloyd's iterations from the same starting centroids
@@ -71,26 +73,26 @@ class TestKmeans:
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(5)
         pts = rng.standard_normal((80, 3))
-        a = kmeans(pts, KmeansConfig(k=4, seed=9))
-        b = kmeans(pts, KmeansConfig(k=4, seed=9))
+        a = kmeans(pts, 4, 9)
+        b = kmeans(pts, 4, 9)
         assert np.array_equal(a.labels, b.labels)
         assert a.inertia == b.inertia
 
     def test_assignment_tie_breaks_low_index(self):
         pts = np.array([[0.0]])
-        out = kmeans(np.repeat(pts, 2, axis=0), KmeansConfig(k=2, replicates=1, max_iters=3, seed=0))
+        out = kmeans(np.repeat(pts, 2, axis=0), 2, 0)
         # both centroids coincide: every point must sit in cluster 0
         assert np.all(out.labels == 0) or len(set(out.labels.tolist())) == 2
 
     def test_empty_cluster_repair_keeps_k_clusters(self):
-        out = kmeans(_repair_input(), KmeansConfig(k=3, replicates=5, seed=1))
+        out = kmeans(_repair_input(), 3, 1)
         assert len(set(out.labels.tolist())) == 3
 
     def test_coincident_float_rows(self):
         # the norm expansion leaves equal non-integer rows a rounding error apart
         rows = np.random.default_rng(0).standard_normal((5, 7))
         pts = np.repeat(rows, 3, axis=0)
-        out = kmeans(pts, KmeansConfig(k=5, seed=0))
+        out = kmeans(pts, 5, 0)
         assert out.inertia <= 1e-12
         groups = sorted(np.flatnonzero(out.labels == j).tolist() for j in range(5))
         assert groups == [[3 * r, 3 * r + 1, 3 * r + 2] for r in range(5)]
@@ -99,15 +101,15 @@ class TestKmeans:
     def test_matches_loop_reference(self, case):
         if case == "blobs-k4":
             pts, _ = _blobs(np.random.default_rng(0), sep=20.0, std=0.5)
-            cfg = KmeansConfig(k=4, seed=0)
+            k, seed = 4, 0
         elif case == "gaussian-500x20-k40":
             pts = np.random.default_rng(10).standard_normal((500, 20))
-            cfg = KmeansConfig(k=40, replicates=3, seed=2)
+            k, seed = 40, 2
         else:
             pts = _repair_input()
-            cfg = KmeansConfig(k=3, replicates=5, seed=1)
-        got = kmeans(pts, cfg)
-        ref = loop_kmeans(pts, cfg)
+            k, seed = 3, 1
+        got = kmeans(pts, k, seed)
+        ref = loop_kmeans(pts, k, seed)
         assert np.array_equal(got.labels, ref.labels)
         assert got.iterations_run == ref.iterations_run
         assert got.inertia == pytest.approx(ref.inertia, rel=1e-12, abs=0.0)
@@ -123,16 +125,7 @@ class TestKmeans:
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="k must"):
-            KmeansConfig(k=0)
-        with pytest.raises(ValueError, match="replicates"):
-            KmeansConfig(k=2, replicates=0)
-        for bad in (0, -1):
-            with pytest.raises(ValueError, match="max_iters"):
-                KmeansConfig(k=2, max_iters=bad)
-        for bad in (-1e-9, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="tol"):
-                KmeansConfig(k=2, tol=bad)
-        KmeansConfig(k=2, max_iters=1, tol=0.0)
+            kmeans(np.zeros((3, 2)), 0, 0)
 
 
 class TestLabelsToIndicators:

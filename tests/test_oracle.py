@@ -5,7 +5,6 @@ import pytest
 
 from cscluster import (
     DenseCapError,
-    KmeansConfig,
     SbmConfig,
     adjusted_rand_index,
     build_graph,
@@ -13,7 +12,6 @@ from cscluster import (
     laplacian_op,
     run_sc_baseline,
     sbm_generate,
-    spectral_clustering,
 )
 from cscluster.oracle import EigenBasis
 from helpers import cliques_graph, random_graph
@@ -61,26 +59,27 @@ class TestDenseEig:
 class TestSpectralClustering:
     def test_disconnected_cliques_exact(self):
         g, truth = cliques_graph(3, 6)
-        result = spectral_clustering(laplacian_op(g), 3, KmeansConfig(k=3, seed=0))
+        result = run_sc_baseline(laplacian_op(g), 3, seed=0)
         assert adjusted_rand_index(truth, result.labels) == 1.0
         assert result.soft.shape == (18, 3)
         assert np.allclose(result.soft.sum(axis=1), 1.0)
 
     def test_k_equals_n(self, k3_graph):
-        result = spectral_clustering(laplacian_op(k3_graph), 3, KmeansConfig(k=3, seed=1))
+        result = run_sc_baseline(laplacian_op(k3_graph), 3, seed=1)
         assert len(set(result.labels.tolist())) == 3
 
     def test_zero_row_names_node(self):
-        # isolated node has no weight in the low eigenvectors of its component
-        g = build_graph([(0, 1, 1.0)], num_nodes=3)
-        with pytest.raises(ValueError, match="node"):
-            spectral_clustering(laplacian_op(g), 1, KmeansConfig(k=1, seed=0))
+        # two K2 components and isolated node 4: the spectrum is 0, 0, 1, 2, 2,
+        # and the isolated node has no weight in the two null vectors
+        g = build_graph([(0, 1, 1.0), (2, 3, 1.0)], num_nodes=5)
+        with pytest.raises(ValueError, match=r"zero row .* node\(s\) \[4\]"):
+            run_sc_baseline(laplacian_op(g), 2, seed=0)
 
     def test_partition_invariant_to_basis_rotation(self):
         g, truth = cliques_graph(3, 8)
         op = laplacian_op(g)
         basis = dense_eig(op)
-        base = spectral_clustering(op, 3, KmeansConfig(k=3, seed=5), basis=basis)
+        base = run_sc_baseline(op, 3, seed=5, basis=basis)
         rng = np.random.default_rng(0)
         for _ in range(3):
             # rotate inside the zero eigenspace and flip signs elsewhere
@@ -89,13 +88,13 @@ class TestSpectralClustering:
             V[:, :3] = V[:, :3] @ Q
             V[:, 3:] *= rng.choice([-1.0, 1.0], size=V.shape[1] - 3)
             rotated = EigenBasis(eigenvalues=basis.eigenvalues.copy(), eigenvectors=V)
-            result = spectral_clustering(op, 3, KmeansConfig(k=3, seed=5), basis=rotated)
+            result = run_sc_baseline(op, 3, seed=5, basis=rotated)
             assert adjusted_rand_index(base.labels, result.labels) == 1.0
 
     def test_degenerate_cut_warning_flag(self):
         # 4-cycle spectrum (0, 1, 1, 2): tie right at the k = 2 cut
         g = build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
-        result = spectral_clustering(laplacian_op(g), 2, KmeansConfig(k=2, seed=0))
+        result = run_sc_baseline(laplacian_op(g), 2, seed=0)
         assert result.diagnostics["degenerate_eigenvalue_cut"] is True
 
     def test_tie_with_degenerate_indicators_raises_zero_row(self):
@@ -103,7 +102,7 @@ class TestSpectralClustering:
         # zero rows: the pathologic case must name the offending nodes
         g, _ = cliques_graph(3, 5)
         with pytest.raises(ValueError, match="zero row"):
-            spectral_clustering(laplacian_op(g), 2, KmeansConfig(k=2, seed=0))
+            run_sc_baseline(laplacian_op(g), 2, seed=0)
 
     def test_equal_seeds_give_identical_json(self, sbm500):
         op, k = sbm500["op"], sbm500["k"]
@@ -120,6 +119,6 @@ class TestSpectralClustering:
         for rep in range(20):
             cfg = SbmConfig(num_nodes=1000, k=k, avg_degree=s, epsilon=eps_c / 4, seed=100 + rep)
             graph, truth = sbm_generate(cfg)
-            result = spectral_clustering(laplacian_op(graph), k, KmeansConfig(k=k, seed=rep))
+            result = run_sc_baseline(laplacian_op(graph), k, seed=rep)
             aris.append(adjusted_rand_index(truth, result.labels))
         assert np.mean(aris) >= 0.95

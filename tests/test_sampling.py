@@ -6,7 +6,6 @@ import scipy.stats
 
 from cscluster import (
     CscParams,
-    FeatureMatrix,
     LaplacianOp,
     SbmConfig,
     adjusted_rand_index,
@@ -77,13 +76,13 @@ class TestInterpolate:
         g, truth = cliques_graph(3, 10)
         op = laplacian_op(g)
         # K10 components: the next eigenvalue is 10/9, far above the cut-off
-        feats = _features(op, 0.5, order=60, d=6)
+        _, F = _features(op, 0.5, order=60, d=6)
         sampled = draw_sampling(30, 12, seed=4)
         assert len(set(truth[sampled].tolist())) == 3  # all cliques sampled
         k = 3
         reduced = np.zeros((12, k))
         reduced[np.arange(12), truth[sampled]] = 1.0
-        soft = interpolate_all(feats, sampled, reduced)
+        soft = interpolate_all(F, sampled, reduced)
         assert soft.shape == (30, k)
         for j in range(k):
             inside = soft[truth == j, j]
@@ -93,9 +92,9 @@ class TestInterpolate:
         assert adjusted_rand_index(truth, labels) == 1.0
 
     def test_zero_data_zero_solution(self, k3_graph):
-        feats = _features(laplacian_op(k3_graph), 1.0, order=20, d=2)
+        _, F = _features(laplacian_op(k3_graph), 1.0, order=20, d=2)
         sampled = draw_sampling(3, 2, 0)
-        x = interpolate_all(feats, sampled, np.zeros((2, 1)))
+        x = interpolate_all(F, sampled, np.zeros((2, 1)))
         assert np.all(x == 0.0)
 
     def test_exact_on_bandlimited_signals(self, sbm500):
@@ -107,10 +106,9 @@ class TestInterpolate:
         Uk = basis.leading(k)
         rng = np.random.default_rng(0)
         F = Uk @ (Uk.T @ rng.standard_normal((N, k + 10)))
-        feats = FeatureMatrix(rows=F, filtered=F)
         x = Uk @ rng.standard_normal((k, 2))
         sampled = draw_sampling(N, 60, 8)
-        soft = interpolate_all(feats, sampled, x[sampled])
+        soft = interpolate_all(F, sampled, x[sampled])
         assert np.linalg.norm(soft - x) <= 1e-10 * np.linalg.norm(x)
 
     @staticmethod
@@ -124,10 +122,10 @@ class TestInterpolate:
     def test_residual_contract(self, sbm500):
         # least squares: on the sampled nodes the residual is orthogonal to
         # every column of F[sampled] (the normal equations)
-        feats = _features(sbm500["op"], 0.45)
+        _, F = _features(sbm500["op"], 0.45)
         sampled, reduced = self._indicator_problem(sbm500, 60, 9)
-        soft = interpolate_all(feats, sampled, reduced)
-        A = feats.filtered[sampled]
+        soft = interpolate_all(F, sampled, reduced)
+        A = F[sampled]
         residual = soft[sampled] - reduced
         assert np.linalg.norm(residual) > 0.1  # n > d: the fit is not exact
         assert np.abs(A.T @ residual).max() <= 1e-10 * np.linalg.norm(A) * np.linalg.norm(reduced)
@@ -145,17 +143,17 @@ class TestInterpolate:
         assert (prm.n, prm.d) == (7, 13)
         w = dense_eig(op, vectors=False).eigenvalues
         signals = generate_signals(op.num_nodes, prm.d, seed=2).astype(np.float32)
-        feats = build_features(op, design_lowpass(0.5 * (w[k - 1] + w[k]), prm.p), signals)
+        _, F = build_features(op, design_lowpass(0.5 * (w[k - 1] + w[k]), prm.p), signals)
         sampled = draw_sampling(op.num_nodes, prm.n, 3)
         reduced = np.zeros((prm.n, k))
         reduced[np.arange(prm.n), truth[sampled]] = 1.0
-        soft = interpolate_all(feats, sampled, reduced)
+        soft = interpolate_all(F, sampled, reduced)
         assert soft.dtype == np.float64
         assert np.linalg.norm(soft[sampled] - reduced) <= 1e-9 * np.linalg.norm(reduced)
 
     def test_work_is_deterministic_count(self, sbm500, monkeypatch):
         # the lift reuses the filtered block: no Laplacian application
-        feats = _features(sbm500["op"], 0.45)
+        _, F = _features(sbm500["op"], 0.45)
         sampled, reduced = self._indicator_problem(sbm500, 80, 11)
         calls = 0
         real_apply = LaplacianOp.apply
@@ -166,27 +164,26 @@ class TestInterpolate:
             return real_apply(self, x)
 
         monkeypatch.setattr(LaplacianOp, "apply", counting_apply)
-        interpolate_all(feats, sampled, reduced)
+        interpolate_all(F, sampled, reduced)
         assert calls == 0
 
     def test_inputs_never_written(self, sbm500):
         op = sbm500["op"]
         weights = op.graph.weights.copy()
-        feats = _features(op, 0.45)
-        filtered, rows = feats.filtered.copy(), feats.rows.copy()
+        F = _features(op, 0.45)[1]
+        F_before = F.copy()
         sampled, reduced = self._indicator_problem(sbm500, 60, 12)
         reduced_before = reduced.copy()
-        interpolate_all(feats, sampled, reduced)
-        assert np.array_equal(feats.filtered, filtered)
-        assert np.array_equal(feats.rows, rows)
+        interpolate_all(F, sampled, reduced)
+        assert np.array_equal(F, F_before)
         assert np.array_equal(reduced, reduced_before)
         assert np.array_equal(op.graph.weights, weights)
 
     def test_row_count_validation(self, sbm500):
-        feats = _features(sbm500["op"], 0.45)
+        _, F = _features(sbm500["op"], 0.45)
         sampled = draw_sampling(sbm500["op"].num_nodes, 30, 0)
         with pytest.raises(ValueError, match="rows"):
-            interpolate_all(feats, sampled, np.zeros((29, 2)))
+            interpolate_all(F, sampled, np.zeros((29, 2)))
 
 
 class TestAssign:

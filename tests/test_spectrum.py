@@ -12,11 +12,12 @@ from cscluster import (
     dense_eig,
     design_lowpass,
     estimate_lambda_k,
+    generate_signals,
     laplacian_op,
     sbm_generate,
 )
 from cscluster._rng import substream
-from cscluster.spectrum import default_probe_signals, probe_signals
+from cscluster.spectrum import default_probe_signals
 from helpers import cliques_graph
 
 
@@ -24,7 +25,7 @@ def probe_counts(op, lams, *, order=50, num_signals=None, seed=0):
     """Count curve at ``lams`` from the moments of the pipeline's float32
     Gaussian probe signals."""
     ds = num_signals or default_probe_signals(op.num_nodes)
-    signals = probe_signals(op.num_nodes, ds, np.random.default_rng(seed))
+    signals = generate_signals(op.num_nodes, ds, seed).astype(np.float32)
     return count_curve(chebyshev_moments(op, signals, order), lams)
 
 
@@ -61,7 +62,7 @@ class TestEigencount:
         op = sbm500["op"]
         lams = np.linspace(0.0, 2.0, 802)[1:-1]
         for seed in range(3):
-            signals = probe_signals(op.num_nodes, default_probe_signals(op.num_nodes), np.random.default_rng(seed))
+            signals = generate_signals(op.num_nodes, default_probe_signals(op.num_nodes), seed).astype(np.float32)
             assert signals.dtype == np.float32
             mu32 = chebyshev_moments(op, signals, 50)
             assert mu32.dtype == np.float64
