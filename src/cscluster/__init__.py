@@ -2,10 +2,12 @@
 
 Approximate spectral clustering without eigendecomposition: polynomial
 low-pass filtering of a few random signals yields per-node feature vectors,
-k-means runs on a small uniform subsample of the nodes (isolated nodes are
-left out), and the resulting cluster indicators are lifted back to the full
-graph by least squares in the span of the filtered signals. An exact dense oracle, an SBM benchmark
-generator and evaluation metrics are included for verification at desk scale.
+k-means runs on the unit-normalized feature vectors of a small uniform
+subsample of the nodes (isolated nodes are left out), and the resulting
+cluster indicators are lifted back to the full graph by least squares in the
+span of the filtered signals. An exact dense oracle, an SBM benchmark
+generator and evaluation metrics are included for verification at desk
+scale.
 """
 
 from .graph import (
@@ -23,14 +25,8 @@ from .spectrum import LambdaKEstimate, chebyshev_moments, count_curve, estimate_
 from .features import build_features, generate_signals
 from .kmeans import Labeling, kmeans, labels_to_indicators
 from .sampling import assign, draw_sampling, interpolate_all
-from .result import ClusterResult
-from .pipeline import (
-    CscParams,
-    DegenerateClusteringError,
-    default_num_samples,
-    default_num_signals,
-    run_csc,
-)
+from .result import ClusterResult, DegenerateClusteringError
+from .pipeline import CscParams, default_num_samples, default_num_signals, run_csc
 from .sbm import SbmConfig, adjusted_rand_index, critical_epsilon, modularity, sbm_generate, sweep
 
 __version__ = "0.1.0"

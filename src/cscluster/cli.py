@@ -1,9 +1,10 @@
 """Command-line interface: graph generation, clustering, and benchmark sweeps.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure (the dense
-eigendecomposition's size cap, an empty cluster in the reduced k-means, or an
-arithmetic error), 4 I/O error. Failures print a machine-readable
-JSON object to stderr. The CSC_LOG environment variable sets the log level.
+eigendecomposition's size cap, an empty cluster in the reduced k-means, a
+node with a zero row in SC's leading eigenvectors, or an arithmetic error),
+4 I/O error. Failures print a machine-readable JSON object to stderr. The
+CSC_LOG environment variable sets the log level.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from . import __version__
 from .filters import DEFAULT_FILTER_ORDER
 from .graph import GraphError, laplacian_op, read_edge_list, write_edge_list
 from .oracle import DEFAULT_DENSE_CAP, DenseCapError, run_sc_baseline
-from .pipeline import CscParams, DegenerateClusteringError, run_csc
+from .pipeline import CscParams, run_csc
+from .result import DegenerateClusteringError, write_labels_csv
 from .sbm import SbmConfig, critical_epsilon, sbm_generate, sweep
 
 EXIT_OK = 0
@@ -143,10 +145,7 @@ def _cmd_sbm_gen(args: argparse.Namespace) -> int:
     graph, labels = sbm_generate(cfg)
     edge_path.parent.mkdir(parents=True, exist_ok=True)
     write_edge_list(graph, edge_path)
-    with label_path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write("node_id,label\n")
-        for i, lab in enumerate(labels):
-            fh.write(f"{i},{int(lab)}\n")
+    write_labels_csv(label_path, labels)
     print(f"wrote {edge_path} ({graph.num_edges} edges, epsilon={epsilon:.6g}) and {label_path}")
     return EXIT_OK
 
@@ -163,10 +162,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     graph = read_edge_list(in_path)
     op = laplacian_op(graph)
-    if graph.isolated_nodes.size:
-        logging.getLogger(__name__).warning(
-            "graph has %d isolated node(s); they are excluded from sampling", graph.isolated_nodes.size
-        )
     if args.method == "csc":
         params = CscParams(
             k=args.k, n=args.n, d=args.d, p=args.p, seed=args.seed, lambda_k=args.lambda_k,
@@ -177,7 +172,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     out_path.parent.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
-        result.save_labels_csv(out_path)
+        write_labels_csv(out_path, result.labels)
         result.save_json(diag_path)
         print(f"wrote {out_path} and {diag_path}")
     else:

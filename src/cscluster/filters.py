@@ -9,8 +9,8 @@ theta_c = arccos(lambda_c - 1),
     a_0 = 1 - theta_c / pi,
     a_l = -2 sin(l * theta_c) / (pi * l),     l >= 1,
 
-optionally damped by Jackson multipliers to suppress the Gibbs oscillations
-around the cut-off. Applying a filter to graph signals uses the three-term
+damped by Jackson multipliers to suppress the Gibbs oscillations around the
+cut-off. Applying a filter to graph signals uses the three-term
 recurrence T_{l+1}(y) = 2 y T_l(y) - T_{l-1}(y) with y = L - I = -S, where
 S = D^{-1/2} W D^{-1/2} is the prescaled adjacency the Laplacian operator
 stores, i.e. only sparse matrix products: the dense filter operator is never
@@ -59,22 +59,20 @@ def jackson_multipliers(order: int) -> np.ndarray:
     return ((q - l) * np.cos(ang) + np.sin(ang) / np.tan(np.pi / q)) / q
 
 
-def design_lowpass(cutoff: float, order: int, damping: str = "jackson") -> PolyFilter:
-    """Polynomial approximation of the ideal low-pass step at ``cutoff``."""
+def design_lowpass(cutoff: float, order: int) -> PolyFilter:
+    """Jackson-damped polynomial approximation of the ideal low-pass step at
+    ``cutoff``. Every multiplier is positive, so dividing the coefficients by
+    ``jackson_multipliers(order)`` gives the undamped series."""
     if not 0.0 < cutoff < 2.0:
         raise ValueError(f"cutoff must lie in (0, 2), got {cutoff}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if damping not in ("none", "jackson"):
-        raise ValueError(f"unknown damping {damping!r}")
     theta_c = np.arccos(cutoff - 1.0)
     l = np.arange(1, order + 1)
     coeffs = np.empty(order + 1)
     coeffs[0] = 1.0 - theta_c / np.pi
     coeffs[1:] = -2.0 * np.sin(l * theta_c) / (np.pi * l)
-    if damping == "jackson":
-        coeffs = coeffs * jackson_multipliers(order)
-    return PolyFilter(coeffs=coeffs)
+    return PolyFilter(coeffs=coeffs * jackson_multipliers(order))
 
 
 def apply_filter(filt: PolyFilter, op: LaplacianOp, x: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import scipy.linalg
 from ._rng import substream_seed
 from .graph import LaplacianOp
 from .kmeans import kmeans, labels_to_indicators
-from .result import ClusterResult
+from .result import ClusterResult, DegenerateClusteringError
 
 logger = logging.getLogger(__name__)
 
@@ -51,26 +51,22 @@ class EigenBasis:
         return self.eigenvectors[:, :k]
 
 
-def dense_eig(op: LaplacianOp, *, cap: int = DEFAULT_DENSE_CAP, vectors: bool = True) -> EigenBasis:
-    """Full eigendecomposition of L by LAPACK (dense path, N <= cap).
+def dense_eig(op: LaplacianOp) -> EigenBasis:
+    """Full eigendecomposition of L by LAPACK (dense path, N <= DEFAULT_DENSE_CAP).
 
-    Raises DenseCapError above the cap: use the compressive pipeline there,
-    that is the whole point of it.
+    Raises DenseCapError above the cap, before L is made dense: use the
+    compressive pipeline there, that is the whole point of it.
     """
     n = op.num_nodes
-    if n > cap:
+    if n > DEFAULT_DENSE_CAP:
         raise DenseCapError(
-            f"dense eigendecomposition refused for N={n} > cap={cap}; "
+            f"dense eigendecomposition refused for N={n} > cap={DEFAULT_DENSE_CAP}; "
             "use the polynomial-filtering pipeline (run_csc) for graphs this size"
         )
     # divide and conquer (syevd): 0.15 s at N = 1000 on 2 vCPUs against 0.25 s
     # for scipy's default MRRR driver; overwrite_a spares a second N x N buffer
-    L = op.dense()
-    if vectors:
-        w, V = scipy.linalg.eigh(L, overwrite_a=True, driver="evd")
-        return EigenBasis(eigenvalues=w, eigenvectors=V)
-    w = scipy.linalg.eigh(L, eigvals_only=True, overwrite_a=True, driver="evd")
-    return EigenBasis(eigenvalues=w, eigenvectors=np.empty((n, 0)))
+    w, V = scipy.linalg.eigh(op.dense(), overwrite_a=True, driver="evd")
+    return EigenBasis(eigenvalues=w, eigenvectors=V)
 
 
 def run_sc_baseline(op: LaplacianOp, k: int, *, seed: int = 0, basis: EigenBasis | None = None) -> ClusterResult:
@@ -79,8 +75,9 @@ def run_sc_baseline(op: LaplacianOp, k: int, *, seed: int = 0, basis: EigenBasis
     Steps: first k eigenvectors of L; rows normalized to unit length; k-means
     on the resulting feature vectors, seeded from the same substream of
     ``seed`` as ``run_csc``'s. Nodes with (numerically) zero rows in U_k are
-    the pathologic case where normalization is undefined; they raise. A
-    precomputed ``basis`` skips the eigendecomposition.
+    the pathologic case where normalization is undefined; they raise
+    DegenerateClusteringError. An isolated node has such a row once
+    lambda_k < 1. A precomputed ``basis`` skips the eigendecomposition.
     """
     n = op.num_nodes
     if k < 2:
@@ -103,7 +100,7 @@ def run_sc_baseline(op: LaplacianOp, k: int, *, seed: int = 0, basis: EigenBasis
     norms = np.linalg.norm(Uk, axis=1)
     bad = np.flatnonzero(norms <= 1e-12)
     if bad.size:
-        raise ValueError(f"zero row norm in the leading eigenvector block at node(s) {bad.tolist()[:10]}")
+        raise DegenerateClusteringError(f"zero row norm in the leading eigenvector block at node(s) {bad.tolist()[:10]}")
     Y = Uk / norms[:, None]
 
     t1 = time.perf_counter()

@@ -6,13 +6,15 @@ k + 10 floor oversamples span(U_k) as a randomized range finder does, since
 the same filtered block carries both the features and the least-squares lift
 of the labels. All randomness derives from one master seed through named
 per-stage substreams, so runs are reproducible stage by stage. The stages
-hand each other plain arrays: the feature rows and the filtered block, the
-sampled node indices, the reduced indicators. The exact baseline that
+hand each other plain arrays: the filtered block F, the sampled node
+indices, the reduced indicators. Only the n sampled rows of F are
+normalized, since k-means reads no other. The exact baseline that
 ``run_csc`` is compared with is ``oracle.run_sc_baseline``.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass, replace
@@ -23,7 +25,7 @@ from ._rng import substream, substream_seed
 from .filters import DEFAULT_FILTER_ORDER, design_lowpass
 from .graph import LaplacianOp
 from .kmeans import kmeans, labels_to_indicators
-from .result import ClusterResult
+from .result import ClusterResult, DegenerateClusteringError
 from .features import build_features, generate_signals
 from .sampling import assign, draw_sampling, interpolate_all
 from .spectrum import estimate_lambda_k
@@ -32,9 +34,7 @@ from .spectrum import estimate_lambda_k
 # signals beyond k in the default d: the lift fits k indicators in span(F)
 SIGNAL_OVERSAMPLING = 10
 
-
-class DegenerateClusteringError(RuntimeError):
-    """k-means on the sampled nodes produced an empty cluster even after repair."""
+logger = logging.getLogger(__name__)
 
 
 def default_num_samples(k: int) -> int:
@@ -85,13 +85,13 @@ class CscParams:
 def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
     """Compressive clustering of the graph behind ``op`` into params.k groups.
 
-    Stages: (1) cut-off estimation from the eigenvalue count curve of one
-    p-step Chebyshev recurrence on 2 ceil(ln N) probe signals, (2) damped
-    low-pass design at the estimate, (3) random signal generation,
-    (4) filtering + row normalization, (5) uniform node sampling,
-    (6) k-means on the sampled feature rows, (7) least-squares lift of the
-    k reduced indicators in the span of the filtered signals, and argmax
-    assignment. Only stages 1 and 4 apply the Laplacian, p times each,
+    Stages: (1) probe: cut-off estimation from the eigenvalue count curve of
+    one p-step Chebyshev recurrence on 2 ceil(ln N) probe signals, (2) filter:
+    damped low-pass design at the estimate and filtering of d random signals
+    into F = h(L) R, (3) uniform node sampling, (4) k-means on the rows of F
+    at the sampled nodes, each divided by its norm, (5) interpolate: the
+    least-squares lift of the k reduced indicators in the span of F, and
+    argmax assignment. Only stages 1 and 2 apply the Laplacian, p times each,
     both on float32 signal blocks: the sparse products are bound by memory
     traffic, which float32 blocks halve. Everything around the two
     recurrences runs in float64. Against float64 recurrences on the same
@@ -99,53 +99,38 @@ def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
     on the other, the cut-off moved by one grid point within its gap.
     """
     N = op.num_nodes
-    prm = params.resolve(N - op.graph.isolated_nodes.size)
+    isolated = op.graph.isolated_nodes
+    prm = params.resolve(N - isolated.size)
+    if isolated.size:
+        logger.warning("graph has %d isolated node(s); they are excluded from sampling", isolated.size)
     timings: dict[str, float] = {}
-    warnings: list[str] = []
     t_run = time.perf_counter()
 
     # 1. cut-off frequency
     t0 = time.perf_counter()
-    if prm.lambda_k is not None:
-        lam = float(prm.lambda_k)
-        lambda_source = "override"
-        probe_iterations = 0
-        probe_count = probe_count_se = None
-        lambda_warning = False
-    else:
+    if prm.lambda_k is None:
         est = estimate_lambda_k(op, prm.k, order=prm.p, rng=substream(prm.seed, "probe"))
         lam = est.lambda_k_hat
-        lambda_source = "estimated"
-        probe_iterations = 1
-        probe_count, probe_count_se = est.count, est.count_se
-        lambda_warning = est.warning
-        if est.warning:
-            warnings.append("lambda_k fallback: no count plateau at k")
+    else:
+        est, lam = None, float(prm.lambda_k)
     timings["probe"] = time.perf_counter() - t0
 
-    # 2. filters
-    t0 = time.perf_counter()
-    lowpass = design_lowpass(lam, prm.p)
-    timings["design"] = time.perf_counter() - t0
-
-    # 3-4. random signals -> features
+    # 2. F = h(L) R: the filter runs in float32 on the drawn signals, F is float64
     t0 = time.perf_counter()
     signals = generate_signals(N, prm.d, seed=substream(prm.seed, "signals"))
-    timings["signals"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    # the filter runs in float32 on the same draws; the features are float64
-    rows, filtered = build_features(op, lowpass, signals.astype(np.float32))
+    filtered = build_features(op, design_lowpass(lam, prm.p), signals.astype(np.float32))
     timings["filter"] = time.perf_counter() - t0
 
-    # 5. sampling: an isolated node filters to h(1) r_i, which row
+    # 3. sampling: an isolated node filters to h(1) r_i, which row
     # normalization would turn into a random unit row
     t0 = time.perf_counter()
-    sampled = draw_sampling(N, prm.n, substream(prm.seed, "sampling"), exclude=op.graph.isolated_nodes)
+    sampled = draw_sampling(N, prm.n, substream(prm.seed, "sampling"), exclude=isolated)
     timings["sampling"] = time.perf_counter() - t0
 
-    # 6. reduced k-means
+    # 4. reduced k-means on the unit-normalized sampled rows of F
     t0 = time.perf_counter()
-    labeling = kmeans(rows[sampled], prm.k, substream_seed(prm.seed, "kmeans"))
+    rows = filtered[sampled]
+    labeling = kmeans(rows / np.linalg.norm(rows, axis=1)[:, None], prm.k, substream_seed(prm.seed, "kmeans"))
     counts = np.bincount(labeling.labels, minlength=prm.k)
     if np.any(counts == 0):
         raise DegenerateClusteringError(
@@ -154,13 +139,14 @@ def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
     reduced = labels_to_indicators(labeling.labels, prm.k, prm.n)
     timings["kmeans"] = time.perf_counter() - t0
 
-    # 7. interpolation + assignment
+    # 5. interpolation + assignment
     t0 = time.perf_counter()
     soft = interpolate_all(filtered, sampled, reduced)
-    labels, fallback_nodes = assign(soft)
+    labels = assign(soft)
     timings["interpolate"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_run
 
+    warned = est is not None and est.warning
     diagnostics = {
         "method": "csc",
         "num_nodes": N,
@@ -171,11 +157,11 @@ def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
         "p": prm.p,
         "seed": prm.seed,
         "lambda_k_hat": lam,
-        "lambda_source": lambda_source,
-        "lambda_warning": lambda_warning,
-        "probe_iterations": probe_iterations,
-        "probe_count": probe_count,
-        "probe_count_se": probe_count_se,
+        "lambda_source": "override" if est is None else "estimated",
+        "lambda_warning": warned,
+        "probe_iterations": 0 if est is None else 1,
+        "probe_count": None if est is None else est.count,
+        "probe_count_se": None if est is None else est.count_se,
         # no probe is refused any more; perfbench still reads the key
         "probe_refused": 0,
         "kmeans_inertia": labeling.inertia,
@@ -183,8 +169,7 @@ def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
         # the lift is a direct solve, no iteration; perfbench still reads both keys
         "solver_iterations": [0] * prm.k,
         "solver_converged": [True] * prm.k,
-        "assign_fallback_nodes": fallback_nodes.tolist(),
-        "warnings": warnings,
+        "warnings": ["lambda_k fallback: no count plateau at k"] if warned else [],
         "timings": timings,
     }
     return ClusterResult(labels=labels, soft=soft, diagnostics=diagnostics)

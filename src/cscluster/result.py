@@ -1,4 +1,5 @@
-"""Clustering result container shared by the exact and compressive pipelines."""
+"""Clustering result container, labels CSV writer and failure type shared by
+the exact and compressive pipelines."""
 
 from __future__ import annotations
 
@@ -9,6 +10,11 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
+
+
+class DegenerateClusteringError(RuntimeError):
+    """The input admits no clustering by the method: an empty cluster in the
+    reduced k-means, or a node with a zero row in the leading eigenvectors."""
 
 
 @dataclass
@@ -51,12 +57,13 @@ class ClusterResult:
     def save_json(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json(indent=2) + "\n", encoding="utf-8")
 
-    def save_labels_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["node_id", "label"])
-            for i, lab in enumerate(self.labels):
-                writer.writerow([i, int(lab)])
+
+def write_labels_csv(path: str | Path, labels: np.ndarray) -> None:
+    """Write one ``node_id,label`` row per node, with "\n" line ends."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["node_id", "label"])
+        writer.writerows(enumerate(np.asarray(labels).tolist()))
 
 
 def _plain(value: Any) -> Any:

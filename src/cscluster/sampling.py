@@ -1,19 +1,17 @@
 """Uniform node sampling, bandlimited interpolation, and hard assignment.
 
 A reduced indicator vector known on n sampled nodes is lifted back to all N
-nodes as a bandlimited signal. The filtered random signals F = h(L) R the
-features were built from already span approximately the k lowest
-eigenvectors, so the lift is the least-squares fit of the sampled
+nodes as a bandlimited signal. The filtered random signals F = h(L) R,
+whose sampled rows k-means clustered, already span approximately the k
+lowest eigenvectors, so the lift is the least-squares fit of the sampled
 indicators by the sampled rows of F, evaluated on every node: the decoder
 of Puy, Tremblay, Gribonval & Vandergheynst restricted to span(F), with no
 further filtering pass. The sample is a plain array of node indices;
 isolated nodes, whose features carry no geometry, are excluded from it by
-the caller and still get a label from the lift.
+``run_csc``, which warns of them, and still get a label from the lift.
 """
 
 from __future__ import annotations
-
-import logging
 
 import numpy as np
 
@@ -22,8 +20,6 @@ __all__ = [
     "interpolate_all",
     "assign",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 def draw_sampling(
@@ -62,25 +58,8 @@ def interpolate_all(filtered: np.ndarray, sampled: np.ndarray, reduced: np.ndarr
     return filtered @ beta
 
 
-def assign(soft: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hard labels from soft indicators: argmax of c_j(i) / ||c_j||.
-
-    Ties break toward the lowest cluster index. Nodes whose indicator row is
-    identically zero fall back to the raw argmax (still lowest index); they
-    are returned, with the labels, as ``(labels, fallback_nodes)``.
-    """
-    soft = np.asarray(soft, dtype=np.float64)
-    if soft.ndim != 2:
-        raise ValueError("soft indicators must be (N, k)")
-    col_norms = np.linalg.norm(soft, axis=0)
-    if not np.any(col_norms > 0):
-        raise ValueError("all indicator vectors are zero")
-    scale = np.where(col_norms > 0, col_norms, 1.0)
-    normalized = soft / scale[None, :]
-    normalized[:, col_norms == 0] = -np.inf  # zero-norm clusters never win
-    labels = normalized.argmax(axis=1)
-    fallback = np.flatnonzero(np.all(soft == 0.0, axis=1))
-    if fallback.size:
-        logger.warning("%d node(s) with all-zero indicators assigned by raw argmax: %s ...", fallback.size, fallback[:10].tolist())
-        labels[fallback] = soft[fallback].argmax(axis=1)
-    return labels, fallback
+def assign(soft: np.ndarray) -> np.ndarray:
+    """Hard labels from soft indicators: argmax of c_j(i) / ||c_j||, ties
+    toward the lowest cluster index. Every column fits a non-zero reduced
+    indicator, so a zero column (or a zero row) has probability 0."""
+    return (soft / np.linalg.norm(soft, axis=0)).argmax(axis=1)

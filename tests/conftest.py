@@ -48,5 +48,5 @@ def sbm1000_gap():
     cfg = SbmConfig(num_nodes=1000, k=20, avg_degree=16.0, epsilon=0.03, seed=7)
     graph, truth = sbm_generate(cfg)
     op = laplacian_op(graph)
-    eigenvalues = dense_eig(op, vectors=False).eigenvalues
+    eigenvalues = dense_eig(op).eigenvalues
     return {"cfg": cfg, "graph": graph, "truth": truth, "op": op, "eigenvalues": eigenvalues, "k": 20}

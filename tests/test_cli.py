@@ -29,16 +29,24 @@ def sbm_files(tmp_path):
     return tmp_path / "g.edgelist", tmp_path / "g.labels.csv"
 
 
+def _assert_labels_csv(path, num_nodes):
+    """node_id,label rows for every node, with "\n" line ends only."""
+    data = path.read_bytes()
+    assert b"\r" not in data
+    assert data.startswith(b"node_id,label\n") and data.endswith(b"\n")
+    with path.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["node_id"]) for r in rows] == list(range(num_nodes))
+
+
 def test_generate_cluster_bench(tmp_path, sbm_files):
     edges, labels = sbm_files
-    with labels.open() as fh:
-        assert len(list(csv.DictReader(fh))) == 90
+    _assert_labels_csv(labels, 90)
     for method in ("csc", "sc"):
         out = tmp_path / f"{method}.csv"
         argv = ["cluster", "--input", str(edges), "--output", str(out), "--method", method, "--k", "3"]
         assert main(argv) == EXIT_OK
-        with out.open() as fh:
-            assert len(list(csv.DictReader(fh))) == 90
+        _assert_labels_csv(out, 90)
         diag = json.loads(out.with_suffix(".diag.json").read_text())
         assert diag["diagnostics"]["method"] == method
 
@@ -81,6 +89,26 @@ def test_dense_cap_is_numeric_failure(tmp_path, capsys, monkeypatch):
     assert main(argv) == EXIT_NUMERIC
     assert "N=5001 > cap=5000" in _error(capsys, EXIT_NUMERIC)
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_isolated_node(tmp_path, capsys, caplog):
+    # two triangles joined by the edge (2, 3), and node 6 isolated: with
+    # lambda_2 < 1 the isolated node has a zero row in U_2, so SC cannot
+    # cluster it, while CSC leaves it out of the sample and still labels it
+    edges = tmp_path / "iso.edges"
+    edges.write_text("# nodes 7\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n2 3\n")
+    warned = {}
+    for method, code in (("sc", EXIT_NUMERIC), ("csc", EXIT_OK)):
+        caplog.clear()
+        out = tmp_path / f"{method}.csv"
+        argv = ["cluster", "--input", str(edges), "--output", str(out), "--method", method, "--k", "2"]
+        with caplog.at_level("WARNING"):
+            assert main(argv) == code
+        warned[method] = any("excluded from sampling" in rec.getMessage() for rec in caplog.records)
+    assert "zero row norm in the leading eigenvector block at node(s) [6]" in _error(capsys, EXIT_NUMERIC)
+    assert not (tmp_path / "sc.csv").exists()
+    _assert_labels_csv(tmp_path / "csc.csv", 7)
+    assert warned == {"sc": False, "csc": True}
 
 
 def test_missing_input_is_io_error(tmp_path, capsys):

@@ -36,17 +36,9 @@ class TestSymmetricEigh:
         rng = np.random.default_rng(42)
         for n in (5, 20, 80):
             op = _graph_op(n, rng, weighted)
-            w = dense_eig(op, vectors=False).eigenvalues
+            w = dense_eig(op).eigenvalues
             ref = np.linalg.eigvalsh(op.dense())
             assert np.abs(w - ref).max() < 1e-10 * max(1.0, np.abs(ref).max())
-
-    def test_eigenvalue_only_mode_consistent(self, weighted):
-        rng = np.random.default_rng(1)
-        op = _graph_op(25, rng, weighted)
-        only = dense_eig(op, vectors=False)
-        full = dense_eig(op)
-        assert only.eigenvectors.shape == (25, 0)
-        assert np.allclose(only.eigenvalues, full.eigenvalues, atol=1e-12)
 
     def test_diagonal_matrix(self, weighted):
         # every node has degree 0 (no edges, or only zero-weight ones), so L is the identity

@@ -15,6 +15,11 @@ from cscluster.pipeline import default_num_samples, default_num_signals
 from helpers import cliques_graph
 
 
+def _unit_rows(F):
+    """The rows of F divided by their norms, as the pipeline's k-means sees them."""
+    return F / np.linalg.norm(F, axis=1)[:, None]
+
+
 class TestGenerateSignals:
     def test_default_size_arithmetic(self):
         # k = 20 -> n = ceil(2 * 20 * ln 20) = 120 -> d = ceil(4 * ln 120) = 20
@@ -45,7 +50,7 @@ class TestBuildFeatures:
         op = laplacian_op(g)
         # K10 components: next eigenvalue 10/9, far above the 0.5 cut-off
         filt = design_lowpass(0.5, 200)
-        rows, _ = build_features(op, filt, generate_signals(30, 8, 0))
+        rows = _unit_rows(build_features(op, filt, generate_signals(30, 8, 0)))
         for c in range(3):
             block = rows[truth == c]
             assert np.abs(block - block[0]).max() < 1e-4
@@ -77,8 +82,8 @@ class TestBuildFeatures:
         R = generate_signals(op.num_nodes, 12, 3)
         rng = np.random.default_rng(0)
         Q = np.linalg.qr(rng.standard_normal((12, 12)))[0]
-        rows1, _ = build_features(op, filt, R)
-        rows2, _ = build_features(op, filt, R @ Q)
+        rows1 = _unit_rows(build_features(op, filt, R))
+        rows2 = _unit_rows(build_features(op, filt, R @ Q))
         idx = rng.choice(op.num_nodes, size=(50, 2))
         for i, j in idx:
             d1 = np.linalg.norm(rows1[i] - rows1[j])
@@ -86,14 +91,15 @@ class TestBuildFeatures:
             assert abs(d1 - d2) < 1e-10
 
     def test_filtered_block_kept_unnormalized(self, sbm500):
-        # the lift needs F = h(L) R itself; rows are F with unit-norm rows
+        # the lift needs F = h(L) R itself, as float64 whatever the dtype the
+        # filter ran in
         op = sbm500["op"]
         filt = design_lowpass(0.45, 30)
         sig = generate_signals(op.num_nodes, 6, 5)
-        rows, filtered = build_features(op, filt, sig)
-        assert np.array_equal(filtered, apply_filter(filt, op, sig))
-        norms = np.linalg.norm(filtered, axis=1)
-        assert np.allclose(rows * norms[:, None], filtered, rtol=1e-14, atol=0)
+        for signals in (sig, sig.astype(np.float32)):
+            F = build_features(op, filt, signals)
+            assert F.dtype == np.float64
+            assert np.array_equal(F, apply_filter(filt, op, signals).astype(np.float64))
 
     def test_single_signal_warns(self, k3_graph, caplog):
         op = laplacian_op(k3_graph)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from cscluster import (
+    DegenerateClusteringError,
     DenseCapError,
+    LaplacianOp,
     SbmConfig,
     adjusted_rand_index,
     build_graph,
@@ -13,7 +15,7 @@ from cscluster import (
     run_sc_baseline,
     sbm_generate,
 )
-from cscluster.oracle import EigenBasis
+from cscluster.oracle import DEFAULT_DENSE_CAP, EigenBasis
 from helpers import cliques_graph, random_graph
 
 
@@ -32,10 +34,15 @@ class TestDenseEig:
         basis = dense_eig(laplacian_op(p3_graph))
         assert np.allclose(basis.eigenvalues, [0.0, 1.0, 2.0], atol=1e-12)
 
-    def test_cap_exceeded(self):
-        op = laplacian_op(build_graph([(0, 1, 1.0)], num_nodes=12))
-        with pytest.raises(DenseCapError, match="run_csc"):
-            dense_eig(op, cap=10)
+    def test_cap_exceeded(self, monkeypatch):
+        op = laplacian_op(build_graph([], num_nodes=DEFAULT_DENSE_CAP + 1))
+
+        def densify(self):
+            raise AssertionError("the cap must refuse before the Laplacian is densified")
+
+        monkeypatch.setattr(LaplacianOp, "dense", densify)
+        with pytest.raises(DenseCapError, match="N=5001 > cap=5000.*run_csc"):
+            dense_eig(op)
 
     def test_rayleigh_residuals_and_orthonormality(self):
         rng = np.random.default_rng(21)
@@ -72,7 +79,7 @@ class TestSpectralClustering:
         # two K2 components and isolated node 4: the spectrum is 0, 0, 1, 2, 2,
         # and the isolated node has no weight in the two null vectors
         g = build_graph([(0, 1, 1.0), (2, 3, 1.0)], num_nodes=5)
-        with pytest.raises(ValueError, match=r"zero row .* node\(s\) \[4\]"):
+        with pytest.raises(DegenerateClusteringError, match=r"zero row .* node\(s\) \[4\]"):
             run_sc_baseline(laplacian_op(g), 2, seed=0)
 
     def test_partition_invariant_to_basis_rotation(self):
@@ -101,7 +108,7 @@ class TestSpectralClustering:
         # first 2 of the 3 component indicators leave the third clique with
         # zero rows: the pathologic case must name the offending nodes
         g, _ = cliques_graph(3, 5)
-        with pytest.raises(ValueError, match="zero row"):
+        with pytest.raises(DegenerateClusteringError, match="zero row"):
             run_sc_baseline(laplacian_op(g), 2, seed=0)
 
     def test_equal_seeds_give_identical_json(self, sbm500):

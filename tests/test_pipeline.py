@@ -76,7 +76,8 @@ class TestRunCsc:
         assert d["solver_iterations"] == [0] * 4
         assert d["solver_converged"] == [True] * 4
         assert not {"gamma", "ridge", "solver_residuals"} & set(d)
-        assert set(d["timings"]) >= {"probe", "design", "signals", "filter", "sampling", "kmeans", "interpolate", "total"}
+        assert set(d["timings"]) == {"probe", "filter", "sampling", "kmeans", "interpolate", "total"}
+        assert "assign_fallback_nodes" not in d
         assert d["probe_iterations"] == 1
         assert d["probe_count"] == pytest.approx(4.0, abs=3.0 * d["probe_count_se"])
         assert result.soft.shape == (32, 4)
@@ -110,30 +111,47 @@ class TestRunCsc:
         # p applications on the probe signals, p on the d signals, none after
         # the k-means, all on float32 blocks (a silent promotion to float64
         # would cost the float32 speed-up): a perf regression check that is
-        # never flaky
+        # never flaky. k-means sees only the n sampled rows of F, each
+        # divided by its norm
         op = sbm500["op"]
         N, k, p = op.num_nodes, sbm500["k"], 30
         columns: list[int] = []
         dtypes: set[np.dtype] = set()
         real_apply, real_kmeans = LaplacianOp.apply, cscluster.pipeline.kmeans
+        real_features, real_draw = cscluster.pipeline.build_features, cscluster.pipeline.draw_sampling
         calls_at_kmeans: list[int] = []
+        seen: dict[str, np.ndarray] = {}
 
         def counting_apply(self, x):
             columns.append(x.shape[1])
             dtypes.add(x.dtype)
             return real_apply(self, x)
 
+        def recording_features(*args):
+            seen["F"] = real_features(*args)
+            return seen["F"]
+
+        def recording_draw(*args, **kwargs):
+            seen["sampled"] = real_draw(*args, **kwargs)
+            return seen["sampled"]
+
         def marking_kmeans(points, k, seed):
             calls_at_kmeans.append(len(columns))
+            seen["points"] = points.copy()
             return real_kmeans(points, k, seed)
 
         monkeypatch.setattr(LaplacianOp, "apply", counting_apply)
         monkeypatch.setattr(cscluster.pipeline, "kmeans", marking_kmeans)
+        monkeypatch.setattr(cscluster.pipeline, "build_features", recording_features)
+        monkeypatch.setattr(cscluster.pipeline, "draw_sampling", recording_draw)
         d = run_csc(op, CscParams(k=k, p=p, seed=0)).diagnostics
         assert d["d"] == k + 10 != default_probe_signals(N)
         assert columns == [default_probe_signals(N)] * p + [d["d"]] * p
         assert calls_at_kmeans == [2 * p]
         assert dtypes == {np.dtype(np.float32)}
+        rows = seen["F"][seen["sampled"]]
+        assert seen["points"].shape == (d["n"], d["d"])
+        assert np.array_equal(seen["points"], rows / np.linalg.norm(rows, axis=1)[:, None])
 
         columns.clear()
         d = run_csc(op, CscParams(k=k, p=p, seed=0, lambda_k=0.45)).diagnostics

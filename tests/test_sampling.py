@@ -76,7 +76,7 @@ class TestInterpolate:
         g, truth = cliques_graph(3, 10)
         op = laplacian_op(g)
         # K10 components: the next eigenvalue is 10/9, far above the cut-off
-        _, F = _features(op, 0.5, order=60, d=6)
+        F = _features(op, 0.5, order=60, d=6)
         sampled = draw_sampling(30, 12, seed=4)
         assert len(set(truth[sampled].tolist())) == 3  # all cliques sampled
         k = 3
@@ -88,11 +88,10 @@ class TestInterpolate:
             inside = soft[truth == j, j]
             outside = soft[truth != j, j]
             assert inside.min() > outside.max()
-        labels, _ = assign(soft)
-        assert adjusted_rand_index(truth, labels) == 1.0
+        assert adjusted_rand_index(truth, assign(soft)) == 1.0
 
     def test_zero_data_zero_solution(self, k3_graph):
-        _, F = _features(laplacian_op(k3_graph), 1.0, order=20, d=2)
+        F = _features(laplacian_op(k3_graph), 1.0, order=20, d=2)
         sampled = draw_sampling(3, 2, 0)
         x = interpolate_all(F, sampled, np.zeros((2, 1)))
         assert np.all(x == 0.0)
@@ -122,7 +121,7 @@ class TestInterpolate:
     def test_residual_contract(self, sbm500):
         # least squares: on the sampled nodes the residual is orthogonal to
         # every column of F[sampled] (the normal equations)
-        _, F = _features(sbm500["op"], 0.45)
+        F = _features(sbm500["op"], 0.45)
         sampled, reduced = self._indicator_problem(sbm500, 60, 9)
         soft = interpolate_all(F, sampled, reduced)
         A = F[sampled]
@@ -141,9 +140,9 @@ class TestInterpolate:
         op = laplacian_op(graph)
         prm = CscParams(k=k).resolve(op.num_nodes)
         assert (prm.n, prm.d) == (7, 13)
-        w = dense_eig(op, vectors=False).eigenvalues
+        w = dense_eig(op).eigenvalues
         signals = generate_signals(op.num_nodes, prm.d, seed=2).astype(np.float32)
-        _, F = build_features(op, design_lowpass(0.5 * (w[k - 1] + w[k]), prm.p), signals)
+        F = build_features(op, design_lowpass(0.5 * (w[k - 1] + w[k]), prm.p), signals)
         sampled = draw_sampling(op.num_nodes, prm.n, 3)
         reduced = np.zeros((prm.n, k))
         reduced[np.arange(prm.n), truth[sampled]] = 1.0
@@ -153,7 +152,7 @@ class TestInterpolate:
 
     def test_work_is_deterministic_count(self, sbm500, monkeypatch):
         # the lift reuses the filtered block: no Laplacian application
-        _, F = _features(sbm500["op"], 0.45)
+        F = _features(sbm500["op"], 0.45)
         sampled, reduced = self._indicator_problem(sbm500, 80, 11)
         calls = 0
         real_apply = LaplacianOp.apply
@@ -170,7 +169,7 @@ class TestInterpolate:
     def test_inputs_never_written(self, sbm500):
         op = sbm500["op"]
         weights = op.graph.weights.copy()
-        F = _features(op, 0.45)[1]
+        F = _features(op, 0.45)
         F_before = F.copy()
         sampled, reduced = self._indicator_problem(sbm500, 60, 12)
         reduced_before = reduced.copy()
@@ -180,7 +179,7 @@ class TestInterpolate:
         assert np.array_equal(op.graph.weights, weights)
 
     def test_row_count_validation(self, sbm500):
-        _, F = _features(sbm500["op"], 0.45)
+        F = _features(sbm500["op"], 0.45)
         sampled = draw_sampling(sbm500["op"].num_nodes, 30, 0)
         with pytest.raises(ValueError, match="rows"):
             interpolate_all(F, sampled, np.zeros((29, 2)))
@@ -188,38 +187,22 @@ class TestInterpolate:
 
 class TestAssign:
     def test_one_hot_identity(self):
-        soft = np.eye(4)
-        labels, fallback = assign(soft)
-        assert labels.tolist() == [0, 1, 2, 3]
-        assert fallback.size == 0
+        assert assign(np.eye(4)).tolist() == [0, 1, 2, 3]
 
     def test_per_cluster_scaling_invariant(self):
         rng = np.random.default_rng(0)
         soft = np.abs(rng.standard_normal((30, 4)))
-        base, _ = assign(soft)
+        base = assign(soft)
         scaled = soft * np.array([3.0, 0.1, 7.5, 1.0])[None, :]
-        assert np.array_equal(assign(scaled)[0], base)
+        assert np.array_equal(assign(scaled), base)
 
     def test_every_node_labeled(self):
         rng = np.random.default_rng(1)
         soft = rng.standard_normal((100, 5))
-        labels, _ = assign(soft)
+        labels = assign(soft)
         assert labels.shape == (100,)
         assert labels.min() >= 0 and labels.max() < 5
 
-    def test_zero_row_fallback_warns(self, caplog):
-        soft = np.eye(3)
-        soft[1] = 0.0
-        with caplog.at_level("WARNING"):
-            labels, fallback = assign(soft)
-        assert labels[1] == 0
-        assert fallback.tolist() == [1]
-        assert any("raw argmax" in rec.message for rec in caplog.records)
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            assign(np.zeros((4, 2)))
-
     def test_tie_breaks_lowest(self):
         soft = np.array([[0.5, 0.5], [0.2, 0.8]])
-        assert assign(soft)[0].tolist() == [0, 1]
+        assert assign(soft).tolist() == [0, 1]

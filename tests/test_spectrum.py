@@ -148,7 +148,7 @@ class TestEstimateLambdaK:
         # be found at 5, not at the median of that climb (pipeline draws)
         cfg = SbmConfig(num_nodes=1000, k=5, avg_degree=16.0, epsilon=critical_epsilon(16.0, 5) / 4, seed=20160219)
         op = laplacian_op(sbm_generate(cfg)[0])
-        w = dense_eig(op, vectors=False).eigenvalues
+        w = dense_eig(op).eigenvalues
         for seed in range(12):
             est = estimate_lambda_k(op, 5, rng=substream(seed, "probe"))
             assert est.warning is False, seed
