@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cscluster import adjusted_rand_index, kmeans, labels_to_indicators
-from cscluster.kmeans import _lloyd
-from helpers import loop_kmeans, loop_lloyd
+from cscluster.kmeans import REPLICATES, _draw, _lloyd, _seed_picks
+from helpers import loop_kmeans, loop_lloyd, loop_seed_centroids
 
 
 def _blobs(rng, k=4, per=30, dim=2, sep=10.0, std=1.0):
@@ -19,6 +19,23 @@ def _repair_input():
     # one big tight blob and two far outliers: naive seeding often empties
     rng = np.random.default_rng(6)
     return np.concatenate([rng.standard_normal((60, 2)) * 0.1, [[50.0, 0.0]], [[0.0, 50.0]]])
+
+
+LOOP_CASES = ["blobs-k4", "gaussian-500x20-k40", "repair-input", "duplicates-3x4-k5"]
+
+
+def _loop_case(case):
+    """(points, k, seed) of a case compared against the loop reference."""
+    if case == "blobs-k4":
+        pts, _ = _blobs(np.random.default_rng(0), sep=20.0, std=0.5)
+        return pts, 4, 0
+    if case == "gaussian-500x20-k40":
+        return np.random.default_rng(10).standard_normal((500, 20)), 40, 2
+    if case == "repair-input":
+        return _repair_input(), 3, 1
+    # 3 distinct integer rows, each 4 times: the norm expansion is exact, so
+    # once all 3 are picked every D^2 is 0 and each next pick is rng.integers
+    return np.repeat([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]], 4, axis=0), 5, 3
 
 
 class TestKmeans:
@@ -97,17 +114,9 @@ class TestKmeans:
         groups = sorted(np.flatnonzero(out.labels == j).tolist() for j in range(5))
         assert groups == [[3 * r, 3 * r + 1, 3 * r + 2] for r in range(5)]
 
-    @pytest.mark.parametrize("case", ["blobs-k4", "gaussian-500x20-k40", "repair-input"])
+    @pytest.mark.parametrize("case", LOOP_CASES)
     def test_matches_loop_reference(self, case):
-        if case == "blobs-k4":
-            pts, _ = _blobs(np.random.default_rng(0), sep=20.0, std=0.5)
-            k, seed = 4, 0
-        elif case == "gaussian-500x20-k40":
-            pts = np.random.default_rng(10).standard_normal((500, 20))
-            k, seed = 40, 2
-        else:
-            pts = _repair_input()
-            k, seed = 3, 1
+        pts, k, seed = _loop_case(case)
         got = kmeans(pts, k, seed)
         ref = loop_kmeans(pts, k, seed)
         assert np.array_equal(got.labels, ref.labels)
@@ -122,6 +131,55 @@ class TestKmeans:
         ref = loop_lloyd(pts, init.copy(), 100, 1e-6)
         assert np.array_equal(got[0], ref[0]) and got[1:] == ref[1:]
         assert sorted(np.bincount(got[0]).tolist()) == [1, 1, 60]
+
+    @pytest.mark.parametrize("case", LOOP_CASES)
+    def test_lockstep_seeding_matches_loop_per_replicate(self, case):
+        # every replicate, not only the one whose Lloyd run wins
+        pts, k, seed = _loop_case(case)
+        streams = np.random.SeedSequence(seed).spawn(REPLICATES)
+        picks = _seed_picks(pts, k, [np.random.default_rng(ss) for ss in streams])
+        assert picks.shape == (REPLICATES, k)
+        for r, ss in enumerate(streams):
+            assert np.array_equal(pts[picks[r]], loop_seed_centroids(pts, k, np.random.default_rng(ss)))
+
+    def test_draw_is_rng_choice(self):
+        # the same index as rng.choice(q, p=d2 / total), and the stream left
+        # where choice leaves it; zero entries can never be drawn
+        src = np.random.default_rng(11)
+        for v in range(60):
+            q = int(src.integers(1, 400))
+            d2 = src.random(q) ** 3 * 10.0 ** int(src.integers(-4, 5))
+            d2[src.random(q) < 0.3] = 0.0
+            d2[int(src.integers(q))] = 1.0
+            total = d2.sum()
+            ours, theirs = np.random.default_rng(v), np.random.default_rng(v)
+            for _ in range(40):
+                i = _draw(d2, total, ours)
+                assert i == theirs.choice(q, p=d2 / total)
+                assert d2[i] > 0
+            assert ours.random() == theirs.random()
+
+    def test_draw_at_the_ends_of_the_unit_interval(self):
+        # u = 0 and the largest u below 1 draw the first and last positive
+        # weights; these cumulative weights sum to the largest double below 1
+        class FixedUniform:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self):
+                return self.u
+
+        d2 = np.array([0.0, 0.1, 0.2, 0.0, 0.3, 0.0])
+        ends = [_draw(d2, d2.sum(), FixedUniform(u)) for u in (0.0, np.nextafter(1.0, 0.0))]
+        assert ends == [1, 4]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.random.default_rng(1).standard_normal((50, 3))
+        pts[17, 1] = bad
+        pts[30, 0] = bad
+        with pytest.raises(ValueError, match="row 17 "):
+            kmeans(pts, 4, 0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="k must"):
