@@ -23,7 +23,7 @@ from .oracle import DenseCapError, EigenBasis, dense_eig, run_sc_baseline
 from .filters import PolyFilter, apply_filter, design_lowpass, jackson_multipliers
 from .spectrum import LambdaKEstimate, chebyshev_moments, count_curve, estimate_lambda_k
 from .features import build_features, generate_signals
-from .kmeans import Labeling, kmeans, labels_to_indicators
+from .kmeans import Labeling, kmeans
 from .sampling import assign, draw_sampling, interpolate_all
 from .result import ClusterResult, DegenerateClusteringError
 from .pipeline import CscParams, default_num_samples, default_num_signals, run_csc
@@ -38,7 +38,7 @@ __all__ = [
     "PolyFilter", "apply_filter", "design_lowpass", "jackson_multipliers",
     "LambdaKEstimate", "chebyshev_moments", "count_curve", "estimate_lambda_k",
     "build_features", "generate_signals",
-    "Labeling", "kmeans", "labels_to_indicators",
+    "Labeling", "kmeans",
     "ClusterResult", "assign", "draw_sampling", "interpolate_all",
     "CscParams", "DegenerateClusteringError", "default_num_samples",
     "default_num_signals", "run_csc",

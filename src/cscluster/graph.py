@@ -214,14 +214,14 @@ _UNIT_WEIGHT = np.frombuffer(b" 1", dtype=np.uint8)
 _EDGE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
 
 
-def read_edge_list(path: str | Path, num_nodes: int | None = None) -> Graph:
+def read_edge_list(path: str | Path) -> Graph:
     """Parse a whitespace-separated edge list: ``src dst [weight]`` per line.
 
     0-based indices, ``#`` comment lines and blank lines skipped, missing
     weight = 1.0 (2- and 3-column lines may mix). A ``# nodes <N>`` comment
     (as written by ``write_edge_list``) pins the node count so trailing
-    isolated nodes survive a round trip; an explicit ``num_nodes`` argument
-    overrides it.
+    isolated nodes survive a round trip; without one, the largest index
+    gives it.
 
     One vectorized pass: comment lines are blanked, tokens are counted per
     line on the raw bytes, 2-column lines get a unit weight appended, and
@@ -229,12 +229,12 @@ def read_edge_list(path: str | Path, num_nodes: int | None = None) -> Graph:
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    if num_nodes is None:
-        for token in _NODES_HEADER.findall(text):
-            try:
-                num_nodes = int(token)
-            except ValueError:
-                pass
+    num_nodes = None
+    for token in _NODES_HEADER.findall(text):
+        try:
+            num_nodes = int(token)
+        except ValueError:
+            pass
     body = _COMMENT_LINE.sub("", text)
     raw = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
     newline = raw == ord("\n")

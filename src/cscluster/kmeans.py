@@ -27,13 +27,10 @@ cumulative D^2. Non-finite points are refused before any draw.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-
-logger = logging.getLogger(__name__)
 
 
 # Lloyd runs per call, each from its own k-means++ seeding; the best inertia wins
@@ -119,7 +116,9 @@ def _lloyd(points, centroids, max_iters, tol):
             centroids[j] = points[far]
             point_d2[far] = 0.0  # successive empty clusters pick distinct points
         repaired = empty.size > 0
-        if not repaired and inertia - new_inertia <= tol * max(new_inertia, np.finfo(float).tiny):
+        converged = inertia - new_inertia <= tol * max(new_inertia, np.finfo(float).tiny)
+        # at inertia 0 no move can lower it, not even an empty-cluster repair
+        if new_inertia == 0.0 or (converged and not repaired):
             inertia = new_inertia
             break
         inertia = new_inertia
@@ -157,20 +156,3 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> Labeling:
     assert best is not None
     return best
 
-
-def labels_to_indicators(labels: np.ndarray, k: int, n: int) -> np.ndarray:
-    """One-hot (n, k) matrix whose columns are the cluster indicator vectors.
-
-    Rows sum to one; an empty cluster yields an all-zero column (warned).
-    """
-    labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
-        raise ValueError("labels out of range [0, k)")
-    out = np.zeros((n, k))
-    out[np.arange(n), labels] = 1.0
-    empty = np.flatnonzero(out.sum(axis=0) == 0)
-    if empty.size:
-        logger.warning("empty cluster(s) %s: indicator columns are all-zero", empty.tolist())
-    return out

@@ -4,10 +4,11 @@
 (``scipy.linalg.eigh``); ``run_sc_baseline`` is the standard k-way spectral
 clustering baseline (first k eigenvectors, row normalization, k-means), on
 that decomposition or on a given basis. Without a basis, both are meant for
-graphs small enough to densify. The paper's error terms (the filter's
+graphs small enough to densify. The baseline returns the k-means labels and
+its diagnostics, as ``run_csc`` does. The paper's error terms (the filter's
 sup errors e1, e2 on the spectrum, the coherences of U_k) are one line each
-from an ``EigenBasis`` and ``PolyFilter.evaluate``, so the package keeps no
-helper for them.
+from an ``EigenBasis`` (U_k is ``eigenvectors[:, :k]``) and
+``PolyFilter.evaluate``, so the package keeps no helper for them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import scipy.linalg
 
 from ._rng import substream_seed
 from .graph import LaplacianOp
-from .kmeans import kmeans, labels_to_indicators
+from .kmeans import kmeans
 from .result import ClusterResult, DegenerateClusteringError
 
 logger = logging.getLogger(__name__)
@@ -41,14 +42,6 @@ class EigenBasis:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def num_nodes(self) -> int:
-        return int(self.eigenvalues.size)
-
-    def leading(self, k: int) -> np.ndarray:
-        """First k eigenvectors as an N x k block."""
-        return self.eigenvectors[:, :k]
 
 
 def dense_eig(op: LaplacianOp) -> EigenBasis:
@@ -96,7 +89,7 @@ def run_sc_baseline(op: LaplacianOp, k: int, *, seed: int = 0, basis: EigenBasis
     if degenerate_cut:
         logger.warning("eigenvalue tie at position k=%d (%.3e ~ %.3e); taking first k columns", k, w[k - 1], w[k])
 
-    Uk = basis.leading(k)
+    Uk = basis.eigenvectors[:, :k]
     norms = np.linalg.norm(Uk, axis=1)
     bad = np.flatnonzero(norms <= 1e-12)
     if bad.size:
@@ -107,7 +100,6 @@ def run_sc_baseline(op: LaplacianOp, k: int, *, seed: int = 0, basis: EigenBasis
     labeling = kmeans(Y, k, kmeans_seed)
     t_kmeans = time.perf_counter() - t1
 
-    soft = labels_to_indicators(labeling.labels, k, n)
     diagnostics = {
         "method": "sc",
         "num_nodes": n,
@@ -120,4 +112,4 @@ def run_sc_baseline(op: LaplacianOp, k: int, *, seed: int = 0, basis: EigenBasis
         "seed": kmeans_seed,
         "timings": {"eig": t_eig, "kmeans": t_kmeans, "total": t_eig + t_kmeans},
     }
-    return ClusterResult(labels=labeling.labels, soft=soft, diagnostics=diagnostics)
+    return ClusterResult(labels=labeling.labels, diagnostics=diagnostics)

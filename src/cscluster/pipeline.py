@@ -7,9 +7,11 @@ the same filtered block carries both the features and the least-squares lift
 of the labels. All randomness derives from one master seed through named
 per-stage substreams, so runs are reproducible stage by stage. The stages
 hand each other plain arrays: the filtered block F, the sampled node
-indices, the reduced indicators. Only the n sampled rows of F are
-normalized, since k-means reads no other. The exact baseline that
-``run_csc`` is compared with is ``oracle.run_sc_baseline``.
+indices, the n x k one-hot reduced indicators. Only the n sampled rows of F
+are normalized, since k-means reads no other. The N x k lifted indicators
+live only until their argmax: the result carries the labels and the
+diagnostics. The exact baseline that ``run_csc`` is compared with is
+``oracle.run_sc_baseline``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from ._rng import substream, substream_seed
 from .filters import DEFAULT_FILTER_ORDER, design_lowpass
 from .graph import LaplacianOp
-from .kmeans import kmeans, labels_to_indicators
+from .kmeans import kmeans
 from .result import ClusterResult, DegenerateClusteringError
 from .features import build_features, generate_signals
 from .sampling import assign, draw_sampling, interpolate_all
@@ -136,13 +138,11 @@ def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
         raise DegenerateClusteringError(
             f"empty cluster(s) {np.flatnonzero(counts == 0).tolist()} in the reduced k-means"
         )
-    reduced = labels_to_indicators(labeling.labels, prm.k, prm.n)
     timings["kmeans"] = time.perf_counter() - t0
 
-    # 5. interpolation + assignment
+    # 5. interpolation of the n x k one-hot reduced indicators + assignment
     t0 = time.perf_counter()
-    soft = interpolate_all(filtered, sampled, reduced)
-    labels = assign(soft)
+    labels = assign(interpolate_all(filtered, sampled, np.eye(prm.k)[labeling.labels]))
     timings["interpolate"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_run
 
@@ -172,4 +172,4 @@ def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
         "warnings": ["lambda_k fallback: no count plateau at k"] if warned else [],
         "timings": timings,
     }
-    return ClusterResult(labels=labels, soft=soft, diagnostics=diagnostics)
+    return ClusterResult(labels=labels, diagnostics=diagnostics)

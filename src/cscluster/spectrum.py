@@ -15,7 +15,9 @@ coefficients of the degree-2p damped low-pass at lam, so the whole count
 curve over (0, 2), and its standard error from the spread across signals,
 costs p applications (Di Napoli, Polizzi & Saad, arXiv:1308.4275; Weisse et
 al., Rev. Mod. Phys. 78, 275). The cut-off is read off that curve: the
-middle of the flat stretch of the curve whose count is nearest k.
+middle of the flat stretch of the curve whose count is nearest k, or, when
+no flat stretch comes within about one eigenvalue of k, the grid point whose
+count is nearest k.
 
 The probe signals are the Gaussian draw of ``generate_signals`` cast to
 float32, so the recurrence runs in float32; the moments are stored in
@@ -154,8 +156,10 @@ def estimate_lambda_k(
     since the run began. Among these runs, the one whose median count is
     nearest k (then the longer one) gives the estimate: its midpoint.
     ``warning`` is set when that median lies further than tol from k, or
-    when no point is flat, in which case the grid point whose count is
-    nearest k is returned.
+    when no point is flat. When no point is flat, or the median lies
+    further than tol + 1 from k, the grid point whose count is nearest k is
+    returned instead: a gap narrower than the flatness window has no flat
+    point, and the nearest run is then a plateau of another count.
     """
     n = op.num_nodes
     if not 1 <= k < n:
@@ -169,15 +173,16 @@ def estimate_lambda_k(
     width = 2.0 * _transition_halfwidth(_GRID, 2 * order)
     rise = np.interp(_GRID + width, _GRID, count) - np.interp(_GRID - width, _GRID, count)
     runs = _plateaus(rise <= tol, count, tol)
+    lam_hat, warning = _GRID[np.argmin(np.abs(count - k))], True
     if runs:
         misses = [abs(float(np.median(count[first:last + 1])) - k) for first, last in runs]
         best = min(range(len(runs)), key=lambda i: (misses[i], runs[i][0] - runs[i][1]))
         first, last = runs[best]
-        lam_hat = 0.5 * (_GRID[first] + _GRID[last])
-        warning = misses[best] > tol[(first + last) // 2]
-    else:
-        lam_hat = _GRID[np.argmin(np.abs(count - k))]
-        warning = True
+        miss, at_tol = misses[best], tol[(first + last) // 2]
+        # a plateau more than one eigenvalue beyond tol from k is another
+        # cluster's: the nearest-k grid point is closer to the gap
+        if miss <= at_tol + 1.0:
+            lam_hat, warning = 0.5 * (_GRID[first] + _GRID[last]), miss > at_tol
     (at,), (at_se,) = count_curve(moments, lam_hat)
     if warning:
         logger.warning(

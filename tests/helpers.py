@@ -155,7 +155,9 @@ def loop_lloyd(points, centroids, max_iters, tol):
                 centroids[j] = points[far]
                 point_d2[far] = 0.0  # successive empty clusters pick distinct points
                 repaired = True
-        if not repaired and inertia - new_inertia <= tol * max(new_inertia, np.finfo(float).tiny):
+        converged = inertia - new_inertia <= tol * max(new_inertia, np.finfo(float).tiny)
+        # at inertia 0 no move can lower it, not even an empty-cluster repair
+        if new_inertia == 0.0 or (converged and not repaired):
             inertia = new_inertia
             break
         inertia = new_inertia

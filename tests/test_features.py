@@ -61,10 +61,10 @@ class TestBuildFeatures:
         # JL-style check with the exact projector double, modest failure budget
         basis = sbm500["basis"]
         k = sbm500["k"]
-        N = basis.num_nodes
+        N = basis.eigenvalues.size
         eps, beta = 0.5, 1.0
         d = int(np.ceil((4 + 2 * beta) / (eps**2 / 2 - eps**3 / 3) * np.log(N)))
-        Uk = basis.leading(k)
+        Uk = basis.eigenvectors[:, :k]
         v = np.linalg.norm(Uk, axis=1)
         D = pdist(Uk / v[:, None])
         worst = 0.0

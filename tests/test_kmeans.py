@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cscluster import adjusted_rand_index, kmeans, labels_to_indicators
-from cscluster.kmeans import REPLICATES, _draw, _lloyd, _seed_picks
+from cscluster import adjusted_rand_index, kmeans
+from cscluster.kmeans import MAX_ITERS, REPLICATES, _draw, _lloyd, _seed_picks
 from helpers import loop_kmeans, loop_lloyd, loop_seed_centroids
 
 
@@ -122,6 +122,9 @@ class TestKmeans:
         assert np.array_equal(got.labels, ref.labels)
         assert got.iterations_run == ref.iterations_run
         assert got.inertia == pytest.approx(ref.inertia, rel=1e-12, abs=0.0)
+        if case == "duplicates-3x4-k5":
+            # inertia 0 from the first iteration: no run goes on to MAX_ITERS
+            assert got.iterations_run < MAX_ITERS
 
     def test_lloyd_repair_matches_loop_reference(self):
         # two centroids start empty: both reseed, at distinct farthest points
@@ -185,33 +188,3 @@ class TestKmeans:
         with pytest.raises(ValueError, match="k must"):
             kmeans(np.zeros((3, 2)), 0, 0)
 
-
-class TestLabelsToIndicators:
-    def test_two_points(self):
-        out = labels_to_indicators(np.array([0, 1]), 2, 2)
-        assert np.array_equal(out, np.eye(2))
-
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(8)
-        labels = rng.integers(0, 4, size=37)
-        out = labels_to_indicators(labels, 4, 37)
-        assert np.allclose(out.sum(axis=1), 1.0)
-
-    def test_empty_cluster_warns_zero_column(self, caplog):
-        with caplog.at_level("WARNING"):
-            out = labels_to_indicators(np.array([0, 0, 2]), 3, 3)
-        assert np.all(out[:, 1] == 0.0)
-        assert any("empty cluster" in rec.message for rec in caplog.records)
-
-    def test_argmax_round_trip(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            labels = rng.integers(0, 5, size=20)
-            out = labels_to_indicators(labels, 5, 20)
-            assert np.array_equal(out.argmax(axis=1), labels)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            labels_to_indicators(np.array([0, 3]), 2, 2)
-        with pytest.raises(ValueError):
-            labels_to_indicators(np.array([0, 1]), 2, 3)

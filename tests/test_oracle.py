@@ -68,8 +68,6 @@ class TestSpectralClustering:
         g, truth = cliques_graph(3, 6)
         result = run_sc_baseline(laplacian_op(g), 3, seed=0)
         assert adjusted_rand_index(truth, result.labels) == 1.0
-        assert result.soft.shape == (18, 3)
-        assert np.allclose(result.soft.sum(axis=1), 1.0)
 
     def test_k_equals_n(self, k3_graph):
         result = run_sc_baseline(laplacian_op(k3_graph), 3, seed=1)

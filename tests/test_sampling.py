@@ -101,8 +101,8 @@ class TestInterpolate:
         # signal in span(U_k) is recovered on every node from n > k samples
         basis = sbm500["basis"]
         k = sbm500["k"]
-        N = basis.num_nodes
-        Uk = basis.leading(k)
+        N = basis.eigenvalues.size
+        Uk = basis.eigenvectors[:, :k]
         rng = np.random.default_rng(0)
         F = Uk @ (Uk.T @ rng.standard_normal((N, k + 10)))
         x = Uk @ rng.standard_normal((k, 2))
