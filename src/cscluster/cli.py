@@ -93,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Reads a whitespace edge list (src dst [weight], '#' comments) and writes the "
             "labels plus run diagnostics. Method csc uses " + _DEFAULTS_NOTE + "; method sc "
-            "is the exact baseline, a dense LAPACK eigendecomposition of the Laplacian, "
-            f"refused above {DEFAULT_DENSE_CAP} nodes."
+            "is the exact baseline on the k + 1 leading eigenpairs of the dense Laplacian "
+            f"from LAPACK, refused above {DEFAULT_DENSE_CAP} nodes."
         ),
     )
     clu.add_argument("--input", type=str, required=True, help="edge-list path")

@@ -185,10 +185,12 @@ class LaplacianOp:
         return out
 
     def dense(self) -> np.ndarray:
-        """Dense N x N Laplacian (test/oracle use; O(N^2) memory)."""
-        W = self.graph.adjacency().toarray()
-        S = self.d_inv_sqrt
-        return np.eye(self.num_nodes) - S[:, None] * W * S[None, :]
+        """Dense N x N Laplacian I - S (test/oracle use; O(N^2) memory), made
+        in one Fortran-order buffer from the cached S."""
+        L = self.normalized_adjacency().toarray(order="F")
+        np.subtract(0.0, L, out=L)  # 0 - 0 keeps the zeros positive, unlike negation
+        L.flat[:: self.num_nodes + 1] += 1.0
+        return L
 
 
 def signal_array(x) -> np.ndarray:

@@ -141,6 +141,16 @@ class TestLaplacianOp:
         op.apply(np.ones(4))
         assert op._s is S
 
+    def test_dense_is_the_former_formula_byte_for_byte(self):
+        # weighted, with isolated nodes 5 and 6: every entry of I - S, the
+        # signs of its zeros included, as the N x N product made it
+        g = build_graph([(0, 1, 2.0), (1, 2, 0.5), (0, 2, 3.25), (2, 3, 1.0 / 3.0), (3, 4, 7.0)], num_nodes=7)
+        op = laplacian_op(g)
+        W = g.adjacency().toarray()
+        S = op.d_inv_sqrt
+        reference = np.eye(op.num_nodes) - S[:, None] * W * S[None, :]
+        assert op.dense().tobytes() == reference.tobytes()
+
     def test_float32_signals_apply_in_float32(self):
         # float32 in, float32 out, within float32 rounding of the float64
         # apply; the float32 S shares its index arrays with S, and float64

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import cscluster.oracle
 from cscluster import (
     DegenerateClusteringError,
     DenseCapError,
@@ -63,6 +64,14 @@ class TestDenseEig:
         assert basis.eigenvalues[1] > 1e-8
 
 
+@pytest.fixture(scope="module")
+def sbm200():
+    """A 200-node SBM with k = 4 and its full dense spectrum."""
+    cfg = SbmConfig(num_nodes=200, k=4, avg_degree=16.0, epsilon=0.05, seed=3)
+    op = laplacian_op(sbm_generate(cfg)[0])
+    return op, dense_eig(op)
+
+
 class TestSpectralClustering:
     def test_disconnected_cliques_exact(self):
         g, truth = cliques_graph(3, 6)
@@ -108,6 +117,45 @@ class TestSpectralClustering:
         g, _ = cliques_graph(3, 5)
         with pytest.raises(DegenerateClusteringError, match="zero row"):
             run_sc_baseline(laplacian_op(g), 2, seed=0)
+
+    @pytest.mark.parametrize("graph, k", [("cliques", 3), ("cliques", 18), ("k3", 3)])
+    def test_asks_lapack_for_k_plus_one_pairs(self, graph, k, k3_graph, monkeypatch):
+        # one dense_eig call, looked up at call time (as the benchmark's
+        # tracer wraps it), for U_k and lambda_{k+1}: min(k + 1, N) pairs
+        g = cliques_graph(3, 6)[0] if graph == "cliques" else k3_graph
+        op = laplacian_op(g)
+        calls = []
+
+        def recording(op, count=None):
+            calls.append(count)
+            return dense_eig(op, count)
+
+        monkeypatch.setattr(cscluster.oracle, "dense_eig", recording)
+        result = run_sc_baseline(op, k, seed=0)
+        assert calls == [min(k + 1, op.num_nodes)]
+        assert result.labels.shape == (op.num_nodes,)
+
+    @pytest.mark.parametrize(
+        "rows, columns, values",
+        [
+            (200, 4, 4),  # k pairs: no lambda_{k+1} for the tie check
+            (5, 5, 5),  # 5 rows for 200 nodes
+            (200, 5, 4),  # one eigenvalue short
+        ],
+        ids=["k-pairs", "5-rows", "eigenvalue-short"],
+    )
+    def test_given_basis_must_fit(self, sbm200, rows, columns, values):
+        op, basis = sbm200
+        bad = EigenBasis(eigenvalues=basis.eigenvalues[:values], eigenvectors=basis.eigenvectors[:rows, :columns])
+        shapes = rf"\({rows}, {columns}\) and eigenvalues of shape \({values},\)"
+        with pytest.raises(ValueError, match=shapes + r": need 200 rows and at least 5 columns"):
+            run_sc_baseline(op, 4, seed=0, basis=bad)
+
+    def test_given_basis_of_k_plus_one_pairs(self, sbm200):
+        op, basis = sbm200
+        leading = EigenBasis(eigenvalues=basis.eigenvalues[:5], eigenvectors=basis.eigenvectors[:, :5])
+        result = run_sc_baseline(op, 4, seed=0, basis=leading)
+        assert result.to_json() == run_sc_baseline(op, 4, seed=0, basis=basis).to_json()
 
     def test_equal_seeds_give_identical_json(self, sbm500):
         op, k = sbm500["op"], sbm500["k"]
