@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -37,7 +37,6 @@ class Graph:
     indices: np.ndarray
     weights: np.ndarray
     degrees: np.ndarray
-    _csr: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_edges(self) -> int:
@@ -51,12 +50,7 @@ class Graph:
 
     def adjacency(self) -> sp.csr_matrix:
         """CSR view of the adjacency matrix (shared buffers, do not mutate)."""
-        if self._csr is None:
-            self._csr = sp.csr_matrix(
-                (self.weights, self.indices, self.indptr),
-                shape=(self.num_nodes, self.num_nodes),
-            )
-        return self._csr
+        return sp.csr_matrix((self.weights, self.indices, self.indptr), shape=(self.num_nodes, self.num_nodes))
 
 
 def _from_scipy(A: sp.spmatrix, num_nodes: int) -> Graph:
@@ -110,6 +104,8 @@ def build_graph(
 
     if num_nodes is None:
         num_nodes = int(max(src.max(), dst.max())) + 1 if src.size else 0
+    elif num_nodes < 0:
+        raise GraphError(f"num_nodes must be >= 0, got {num_nodes}")
     elif src.size and int(max(src.max(), dst.max())) >= num_nodes:
         raise GraphError(f"node index {int(max(src.max(), dst.max()))} out of range for num_nodes={num_nodes}")
 
@@ -123,30 +119,30 @@ def build_graph(
     return _from_scipy(W, num_nodes)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LaplacianOp:
     """Normalized Laplacian L = I - S, with S = D^{-1/2} W D^{-1/2} stored.
 
-    S is a CSR matrix on W's ``indptr`` and ``indices`` with data
-    w_ij d_i^{-1/2} d_j^{-1/2}, built on first use and cached; a zero-degree
+    ``s`` is S as a CSR matrix on W's ``indptr`` and ``indices`` with data
+    w_ij d_i^{-1/2} d_j^{-1/2}; ``s32`` is the same matrix with float32 data
+    on the same index arrays. ``laplacian_op`` builds both. A zero-degree
     node has an all-zero row of S, so L acts as the identity on it. One
     application to d signal columns is one sparse product with S plus one
     pass over the N x d result: O(#E d).
 
-    S is cached per signal dtype: float32 signals are applied to a float32
-    copy of S's data on the same index arrays, built on their first use,
-    and give float32 results; any other signal is applied in float64. The
-    sparse product is bound by memory traffic, so float32 blocks cut the
-    time of an application by a third or more.
+    float32 signals are applied with ``s32`` and give float32 results; any
+    other signal is applied in float64 with ``s``. The sparse product is
+    bound by memory traffic, so float32 blocks cut the time of an
+    application by a third or more.
 
-    Immutable after construction (the cached copies of S aside, whose builds
-    are idempotent); ``apply`` is reentrant and works columnwise on matrices.
+    Immutable (do not mutate the matrices either); ``apply`` is reentrant
+    and works columnwise on matrices.
     """
 
     graph: Graph
     d_inv_sqrt: np.ndarray
-    _s: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
-    _s32: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
+    s: sp.csr_matrix
+    s32: sp.csr_matrix
 
     @property
     def num_nodes(self) -> int:
@@ -156,22 +152,6 @@ class LaplacianOp:
     def shape(self) -> tuple[int, int]:
         return (self.graph.num_nodes, self.graph.num_nodes)
 
-    def normalized_adjacency(self) -> sp.csr_matrix:
-        """CSR S = D^{-1/2} W D^{-1/2} (shares W's index arrays, do not mutate)."""
-        if self._s is None:
-            g = self.graph
-            row_scale = np.repeat(self.d_inv_sqrt, np.diff(g.indptr))
-            data = g.weights * row_scale * self.d_inv_sqrt[g.indices]
-            self._s = sp.csr_matrix((data, g.indices, g.indptr), shape=self.shape)
-        return self._s
-
-    def _adjacency_float32(self) -> sp.csr_matrix:
-        """S with float32 data on the index arrays of the float64 S."""
-        if self._s32 is None:
-            s = self.normalized_adjacency()
-            self._s32 = sp.csr_matrix((s.data.astype(np.float32), s.indices, s.indptr), shape=self.shape)
-        return self._s32
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Return L x = x - S x for a vector or an N-row matrix of signals,
         as a fresh array that the caller owns, in float32 for float32
@@ -179,15 +159,14 @@ class LaplacianOp:
         x = signal_array(x)
         if x.shape[0] != self.num_nodes:
             raise ValueError(f"signal has {x.shape[0]} rows, graph has {self.num_nodes} nodes")
-        s = self._adjacency_float32() if x.dtype == np.float32 else self.normalized_adjacency()
-        out = s @ x
+        out = (self.s32 if x.dtype == np.float32 else self.s) @ x
         np.subtract(x, out, out=out)
         return out
 
     def dense(self) -> np.ndarray:
         """Dense N x N Laplacian I - S (test/oracle use; O(N^2) memory), made
-        in one Fortran-order buffer from the cached S."""
-        L = self.normalized_adjacency().toarray(order="F")
+        in one Fortran-order buffer from S."""
+        L = self.s.toarray(order="F")
         np.subtract(0.0, L, out=L)  # 0 - 0 keeps the zeros positive, unlike negation
         L.flat[:: self.num_nodes + 1] += 1.0
         return L
@@ -201,81 +180,80 @@ def signal_array(x) -> np.ndarray:
 
 
 def laplacian_op(graph: Graph) -> LaplacianOp:
-    """Build the normalized Laplacian operator; zero-degree entries get 0."""
+    """Build the normalized Laplacian operator and its S in float64 and
+    float32; zero-degree entries of D^{-1/2} get 0."""
     d = graph.degrees
     with np.errstate(divide="ignore"):
         dis = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
-    return LaplacianOp(graph=graph, d_inv_sqrt=dis)
+    data = graph.weights * np.repeat(dis, np.diff(graph.indptr)) * dis[graph.indices]
+    shape = (graph.num_nodes, graph.num_nodes)
+    s = sp.csr_matrix((data, graph.indices, graph.indptr), shape=shape)
+    s32 = sp.csr_matrix((data.astype(np.float32), s.indices, s.indptr), shape=shape)
+    return LaplacianOp(graph=graph, d_inv_sqrt=dis, s=s, s32=s32)
 
 
 _NODES_HEADER = re.compile(r"^[^\S\n]*#[^\S\n]*nodes[^\S\n]+(\S+)[^\S\n]*$", re.M)
-_COMMENT_LINE = re.compile(r"^[^\S\n]*#.*$", re.M)
-_IS_BLANK = np.zeros(256, dtype=bool)
-_IS_BLANK[list(b" \t\n\r\x0b\x0c")] = True
-_UNIT_WEIGHT = np.frombuffer(b" 1", dtype=np.uint8)
-_EDGE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
+_EDGE_ROWS = (
+    np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)]),
+    np.dtype([("src", np.int64), ("dst", np.int64)]),
+)
 
 
 def read_edge_list(path: str | Path) -> Graph:
     """Parse a whitespace-separated edge list: ``src dst [weight]`` per line.
 
-    0-based indices, ``#`` comment lines and blank lines skipped, missing
-    weight = 1.0 (2- and 3-column lines may mix). A ``# nodes <N>`` comment
-    (as written by ``write_edge_list``) pins the node count so trailing
-    isolated nodes survive a round trip; without one, the largest index
-    gives it.
+    0-based indices, missing weight = 1.0, blank lines skipped, and ``#``
+    starts a comment anywhere on a line. A ``# nodes <N>`` comment line (as
+    written by ``write_edge_list``) pins the node count so trailing isolated
+    nodes survive a round trip; without one, the largest index gives it. A
+    leading UTF-8 byte order mark is ignored.
 
-    One vectorized pass: comment lines are blanked, tokens are counted per
-    line on the raw bytes, 2-column lines get a unit weight appended, and
-    ``np.loadtxt`` parses the resulting 3-column text.
+    A file whose lines all have 3 columns, or all 2, is parsed by one
+    ``np.loadtxt`` call, which refuses a row of any other width. Only a file
+    that both calls refuse (2- and 3-column lines mixed, or a line that does
+    not parse) takes a per-line pass, which reads the mixed lines and names
+    the first bad one as ``path:line``.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
     num_nodes = None
     for token in _NODES_HEADER.findall(text):
         try:
             num_nodes = int(token)
         except ValueError:
             pass
-    body = _COMMENT_LINE.sub("", text)
-    raw = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
-    newline = raw == ord("\n")
-    blank = _IS_BLANK[raw]
-    token_start = ~blank
-    token_start[1:] &= blank[:-1]
-    line_of = np.cumsum(newline) - newline
-    columns = np.bincount(line_of[token_start], minlength=int(newline.sum()) + 1)
-    bad = np.flatnonzero((columns != 0) & (columns != 2) & (columns != 3))
-    if bad.size:
-        line = body.split("\n")[bad[0]].strip()
-        raise GraphError(f"{path}:{bad[0] + 1}: expected 'src dst [weight]', got {line!r}")
-    two = np.flatnonzero(columns == 2)
-    line_end = np.append(np.flatnonzero(newline), raw.size)[two]
-    body = np.insert(raw, np.repeat(line_end, 2), np.tile(_UNIT_WEIGHT, two.size)).tobytes().decode("utf-8")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a file without edges
-            rows = np.loadtxt(io.StringIO(body), dtype=_EDGE_ROW, comments=None, ndmin=1)
-    except ValueError as exc:
-        raise _locate_malformed_line(path, text, body, exc) from None
-    arr = np.column_stack([rows["src"], rows["dst"], rows["weight"]])
-    return build_graph(arr, num_nodes=num_nodes)
-
-
-def _locate_malformed_line(path: Path, text: str, body: str, exc: ValueError) -> GraphError:
-    """Error-path second pass: name the first line whose values do not parse.
-    ``body`` is ``text`` with the same line numbering, comments blanked and
-    unit weights appended."""
-    for lineno, (line, original) in enumerate(zip(body.split("\n"), text.split("\n")), start=1):
-        if not line.strip():
-            continue
+    for row in _EDGE_ROWS:
         try:
-            np.loadtxt([line], dtype=_EDGE_ROW, comments=None, ndmin=1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a file without edges
+                rows = np.loadtxt(io.StringIO(text), dtype=row, comments="#", ndmin=1)
         except ValueError:
-            return GraphError(
-                f"{path}:{lineno}: expected integer node ids and a float weight, got {original.strip()!r}"
-            )
-    return GraphError(f"{path}: {exc}")
+            continue
+        return build_graph(np.column_stack([rows[name] for name in row.names]), num_nodes=num_nodes)
+    return build_graph(_parse_lines(path, text), num_nodes=num_nodes)
+
+
+def _parse_lines(path: Path, text: str) -> list[tuple[int, int, float]]:
+    """Per-line pass for files that mix 2- and 3-column lines, or that have
+    a bad line, which it names. Tokens with ``_`` or non-ASCII characters are
+    refused: Python's ``int`` and ``float`` read them, ``np.loadtxt`` does not."""
+    rows = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        data = line.split("#", 1)[0]
+        parts = data.split()
+        if not parts:
+            continue
+        if len(parts) not in (2, 3):
+            raise GraphError(f"{path}:{lineno}: expected 'src dst [weight]', got {line.strip()!r}")
+        try:
+            if "_" in data or not data.isascii():
+                raise ValueError
+            rows.append((int(parts[0]), int(parts[1]), float(parts[2]) if len(parts) == 3 else 1.0))
+        except ValueError:
+            raise GraphError(
+                f"{path}:{lineno}: expected integer node ids and a float weight, got {line.strip()!r}"
+            ) from None
+    return rows
 
 
 def write_edge_list(graph: Graph, path: str | Path) -> None:

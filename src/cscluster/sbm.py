@@ -45,6 +45,8 @@ class SbmConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got k={self.k}")
         if self.sizes is None:
             base = self.num_nodes // self.k
             rem = self.num_nodes - base * self.k

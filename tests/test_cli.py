@@ -75,6 +75,12 @@ def test_k_below_two_is_usage_error(tmp_path, sbm_files, capsys):
             assert not (tmp_path / "o.csv").exists()
 
 
+def test_sbm_gen_zero_communities_is_usage_error(tmp_path, capsys):
+    assert main(["sbm-gen", "--n", "100", "--k", "0", "--output", str(tmp_path / "g")]) == EXIT_USAGE
+    assert "k must be >= 1, got k=0" in _error(capsys, EXIT_USAGE)
+    assert not (tmp_path / "g.edgelist").exists()
+
+
 def test_dense_cap_is_numeric_failure(tmp_path, capsys, monkeypatch):
     prefix = tmp_path / "big"
     assert main(["sbm-gen", "--n", "5001", "--k", "3", "--s", "4", "--output", str(prefix)]) == EXIT_OK
@@ -115,6 +121,14 @@ def test_missing_input_is_io_error(tmp_path, capsys):
     argv = ["cluster", "--input", str(tmp_path / "absent.edges"), "--output", str(tmp_path / "o.csv"), "--k", "2"]
     assert main(argv) == EXIT_IO
     assert "input not found" in _error(capsys, EXIT_IO)
+
+
+def test_negative_node_header_is_io_error(tmp_path, capsys):
+    edges = tmp_path / "neg.edges"
+    edges.write_text("# nodes -3\n")
+    argv = ["cluster", "--input", str(edges), "--output", str(tmp_path / "o.csv"), "--k", "2"]
+    assert main(argv) == EXIT_IO
+    assert "num_nodes must be >= 0, got -3" in _error(capsys, EXIT_IO)
 
 
 def test_nan_weight_is_io_error(tmp_path, capsys):

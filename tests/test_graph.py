@@ -13,6 +13,7 @@ from cscluster import (
     read_edge_list,
     write_edge_list,
 )
+import cscluster.graph
 from helpers import dense_normalized_laplacian, random_graph
 
 
@@ -133,13 +134,14 @@ class TestLaplacianOp:
     def test_prescaled_adjacency_built_once_on_first_use(self):
         g = build_graph([(0, 1, 2.0), (1, 2, 0.5)], num_nodes=4)
         op = laplacian_op(g)
-        assert op._s is None
-        S = op.normalized_adjacency()
-        assert op.normalized_adjacency() is S
+        # laplacian_op builds S and its float32 copy; apply uses them as built
+        S = op.s
+        assert S.dtype == np.float64 and op.s32.dtype == np.float32
         assert np.allclose(S.toarray(), np.eye(4) - op.dense(), atol=1e-15)
         assert S.getrow(3).nnz == 0  # isolated node: L acts as I
-        op.apply(np.ones(4))
-        assert op._s is S
+        x = np.arange(4.0)
+        assert np.array_equal(op.apply(x), x - S @ x)
+        assert op.s is S
 
     def test_dense_is_the_former_formula_byte_for_byte(self):
         # weighted, with isolated nodes 5 and 6: every entry of I - S, the
@@ -158,18 +160,19 @@ class TestLaplacianOp:
         rng = np.random.default_rng(15)
         g = random_graph(200, 0.05, rng)
         op = laplacian_op(g)
+        S, S32 = op.s, op.s32
+        assert S.dtype == np.float64 and S32.dtype == np.float32
         X = rng.standard_normal((g.num_nodes, 4))
-        expect = X - op.normalized_adjacency() @ X
-        assert op._s32 is None
-        got = op.apply(X.astype(np.float32))
+        expect = X - S @ X
+        X32 = X.astype(np.float32)
+        got = op.apply(X32)
         assert got.dtype == np.float32
-        S32 = op._s32
-        assert S32.dtype == np.float32
-        assert np.shares_memory(S32.indices, op.normalized_adjacency().indices)
-        assert np.shares_memory(S32.indptr, op.normalized_adjacency().indptr)
+        assert np.array_equal(got, X32 - S32 @ X32)
+        assert np.shares_memory(S32.indices, S.indices)
+        assert np.shares_memory(S32.indptr, S.indptr)
         err = np.linalg.norm(got - op.apply(X), axis=0) / np.linalg.norm(X, axis=0)
         assert err.max() <= 1e-6
-        assert op.apply(X.astype(np.float32)).dtype == np.float32 and op._s32 is S32
+        assert op.apply(X32).dtype == np.float32 and op.s32 is S32 and op.s is S
         for x in (X, X[:, 0], X.tolist()):
             out = op.apply(x)
             assert out.dtype == np.float64
@@ -245,6 +248,7 @@ class TestEdgeListIO:
             ("0 1\n# c\n\n1 2 x\n", 4),  # weight does not parse
             ("0 1 0.5\n1.0 2\n", 2),  # indices are integers
             ("0 1\n2\n", 2),  # one column
+            ("0 1\n1_0 2\n", 2),  # int() reads "1_0", np.loadtxt does not
         ],
     )
     def test_bad_value_reports_number(self, tmp_path, body, lineno):
@@ -262,32 +266,67 @@ class TestEdgeListIO:
         assert (W[0, 1], W[1, 2], W[2, 3], W[0, 3]) == (1.0, 2.5, 1.0, 0.25)
         assert g.num_edges == 4
 
+    @pytest.mark.parametrize("body", ["0 1\n1 2\n# nodes 4\n", "0 1 0.5\n  1 2 2.5\n\n# c\n"])
+    def test_uniform_width_skips_per_line_pass(self, tmp_path, monkeypatch, body):
+        def per_line(path, text):
+            raise AssertionError("a uniform-width file must parse in one np.loadtxt call")
+
+        monkeypatch.setattr(cscluster.graph, "_parse_lines", per_line)
+        path = tmp_path / "uniform.edges"
+        path.write_text(body)
+        assert read_edge_list(path).num_edges == 2
+
     def test_matches_line_by_line_reference(self, tmp_path):
-        # the vectorized parser against a plain per-line loop on a messy file
-        rng = np.random.default_rng(8)
-        pad = [" ", "  ", "\t", " \t"]
-        lines, rows = ["# nodes 70"], []
-        for _ in range(400):
-            i, j = rng.choice(70, size=2, replace=False)
-            cols = [str(i), str(j)]
-            if rng.random() < 0.5:
-                cols.append(repr(float(rng.uniform(0.1, 3.0))))
-            lead, sep, tail = (pad[t] for t in rng.integers(len(pad), size=3))
-            lines.append(lead * int(rng.integers(2)) + sep.join(cols) + tail * int(rng.integers(2)))
-            if rng.random() < 0.1:
-                lines.append(rng.choice(["", "   ", "# comment 1 2", "\t#x"]))
-        path = tmp_path / "messy.edges"
-        path.write_text("\n".join(lines))
-        for line in lines:
-            parts = line.split()
-            if parts and not parts[0].startswith("#"):
-                rows.append((int(parts[0]), int(parts[1]), float(parts[2]) if len(parts) == 3 else 1.0))
-        ref = build_graph(rows, num_nodes=70)
+        # both parse paths against a plain per-line loop on a messy file:
+        # with 2- and 3-column lines mixed, then with every line weighted
+        for weighted in (0.5, 1.0):
+            rng = np.random.default_rng(8)
+            pad = [" ", "  ", "\t", " \t"]
+            lines, rows = ["# nodes 70"], []
+            for _ in range(400):
+                i, j = rng.choice(70, size=2, replace=False)
+                cols = [str(i), str(j)]
+                if rng.random() < weighted:
+                    cols.append(repr(float(rng.uniform(0.1, 3.0))))
+                lead, sep, tail = (pad[t] for t in rng.integers(len(pad), size=3))
+                lines.append(lead * int(rng.integers(2)) + sep.join(cols) + tail * int(rng.integers(2)))
+                if rng.random() < 0.1:
+                    lines.append(rng.choice(["", "   ", "# comment 1 2", "\t#x"]))
+            path = tmp_path / "messy.edges"
+            path.write_text("\n".join(lines))
+            for line in lines:
+                parts = line.split()
+                if parts and not parts[0].startswith("#"):
+                    rows.append((int(parts[0]), int(parts[1]), float(parts[2]) if len(parts) == 3 else 1.0))
+            ref = build_graph(rows, num_nodes=70)
+            g = read_edge_list(path)
+            assert g.num_nodes == 70
+            assert np.array_equal(g.indptr, ref.indptr)
+            assert np.array_equal(g.indices, ref.indices)
+            assert np.array_equal(g.weights, ref.weights)
+
+    def test_trailing_comment_on_both_paths(self, tmp_path):
+        # "#" starts a comment anywhere on a line, in a uniform file and in
+        # a mixed one alike
+        uniform, mixed = tmp_path / "uniform.edges", tmp_path / "mixed.edges"
+        uniform.write_text("0 1 1.0 # note\n1 2 2.5\n")
+        mixed.write_text("0 1 # note\n1 2 2.5\n")
+        a, b = read_edge_list(uniform), read_edge_list(mixed)
+        assert a.num_nodes == b.num_nodes == 3
+        assert np.array_equal(a.indices, b.indices) and np.array_equal(a.weights, b.weights)
+        assert a.adjacency()[0, 1] == 1.0 and a.adjacency()[1, 2] == 2.5
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        path = tmp_path / "bom.edges"
+        path.write_bytes(b"\xef\xbb\xbf0 1\n1 2\n")
         g = read_edge_list(path)
-        assert g.num_nodes == 70
-        assert np.array_equal(g.indptr, ref.indptr)
-        assert np.array_equal(g.indices, ref.indices)
-        assert np.array_equal(g.weights, ref.weights)
+        assert g.num_nodes == 3 and g.num_edges == 2
+
+    def test_negative_node_count_rejected(self, tmp_path):
+        path = tmp_path / "neg.edges"
+        path.write_text("# nodes -3\n")
+        with pytest.raises(GraphError, match="num_nodes must be >= 0, got -3"):
+            read_edge_list(path)
 
     def test_header_only_file_is_edgeless(self, tmp_path):
         path = tmp_path / "empty.edges"

@@ -57,6 +57,11 @@ class TestSbmGenerate:
         with pytest.raises(ValueError):
             SbmConfig(num_nodes=10, k=2, avg_degree=4.0, epsilon=0.1, sizes=[4, 4])
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_community_count_validation(self, k):
+        with pytest.raises(ValueError, match=f"k must be >= 1, got k={k}"):
+            SbmConfig(num_nodes=100, k=k, avg_degree=4.0, epsilon=0.1)
+
     def test_reproducible(self):
         cfg = SbmConfig(num_nodes=300, k=3, avg_degree=8.0, epsilon=0.1, seed=5)
         g1, _ = sbm_generate(cfg)
