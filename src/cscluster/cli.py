@@ -185,7 +185,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     spec_path = Path(args.spec)
     if not spec_path.exists():
         raise CliError(f"sweep spec not found: {spec_path}", EXIT_IO)
-    rows = sweep(spec_path, args.output, threads=max(1, args.threads), force=args.force)
+    rows = sweep(spec_path, args.output, threads=args.threads, force=args.force)
     failures = sum(1 for r in rows if r.get("error"))
     print(f"wrote {len(rows)} row(s) to {args.output} ({failures} failures)")
     return EXIT_OK

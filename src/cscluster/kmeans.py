@@ -1,28 +1,48 @@
 """Lloyd k-means with k-means++ seeding, replicates and empty-cluster repair.
 
 Squared distances use the norm expansion |x - c|^2 = |x|^2 + |c|^2 - 2 x.c,
-clipped at 0. The ``REPLICATES`` k-means++ seedings of a ``kmeans`` call run
-in lockstep: at each step one GEMM of the R chosen points against all q
-points gives an (R, q) block of distances (each chosen point's own entry set
-to exactly 0), folded into the (R, q) running minimum D^2, whose row sums
-follow in one pass. These two (R, q) float64 buffers are the seeding's
-memory: 1.6 MB at q = 5000 and 32 MB at q = 10^5 with R = 20. The Lloyd runs
-then go one replicate at a time, each assignment one GEMM into a q x k
-buffer reused across iterations. The centroid update is one grouped sum, a
-sparse one-hot (k x q) product divided by the cluster sizes. It adds each
-cluster's points in point order, as a masked mean does, so from given
-centroids the Lloyd iterations match a per-cluster loop bit for bit when the
-points have more than one column (numpy sums a one-column mean pairwise).
+clipped at 0. ``kmeans`` computes the squared norms |x|^2 once, on the
+caller's array, and hands them to the seeding and to every Lloyd run. They
+are taken on the caller's array because numpy sums the short rows of an
+F-ordered array (SC's eigenvector block) in another order than those of a
+C-ordered copy, which moves the inertia by an ulp.
+
+The ``REPLICATES`` k-means++ seedings of a ``kmeans`` call run in lockstep:
+at each step one GEMM of the R chosen points against a C-ordered transpose
+of all q points (the caller's F-ordered array's own transpose, or one copy
+of a C-ordered one) gives an (R, q) block of distances (each chosen point's
+own entry set to exactly 0), folded into the (R, q) running minimum D^2,
+whose row sums follow in one pass. These two (R, q) float64 buffers are the
+seeding's memory: 1.6 MB at q = 5000 and 32 MB at q = 10^5 with R = 20.
+
+The Lloyd runs then go one replicate at a time, on one C-ordered block of
+the points (a copy only when the caller's array is not C-ordered). Each
+assignment is one GEMM into a q x k buffer, and |c|^2 + |x|^2 go into a
+second one, both reused across iterations. The centroid update is one
+grouped sum, the product with a sparse (k x q) one-hot matrix, built once
+per run and given each iteration's labels as its row indices, divided by
+the cluster sizes. It adds each cluster's points in point order, as a
+masked mean does, so from given centroids the Lloyd iterations match a
+per-cluster loop bit for bit when the points have more than one column
+(numpy sums a one-column mean pairwise). When an iteration's labels are
+those of the previous one and no cluster is empty, the centroids would come
+out unchanged, and the next iteration would repeat this one bit for bit and
+stop: the run stops at once and counts that iteration, so
+``iterations_run`` and the inertia are those of the full run.
 
 Each replicate draws from its own stream in the order of one seeding run on
 its own: ``rng.integers`` for the first centroid, then the draw of
 ``rng.choice(q, p=D^2 / sum D^2)`` for each next one (``rng.integers`` when
 every distance is 0). ``_draw`` is choice's own algorithm (the normalized
 cumulative sum, searched for one ``rng.random()``) without its checks of p,
-so it draws the same index and leaves the stream where choice would. A seed
-therefore draws the same centroids as the per-point difference
-((x - c)^2).sum(), unless a draw falls within rounding of a boundary of the
-cumulative D^2. Non-finite points are refused before any draw.
+so it draws the same index and leaves the stream where choice would. When
+every replicate's sum of D^2 is positive, one cumulative sum along the rows
+of the (R, q) distance buffer makes all R of these cdfs with the same
+operations, and each replicate searches its own row with a uniform from its
+own stream. A seed therefore draws the same centroids as the per-point
+difference ((x - c)^2).sum(), unless a draw falls within rounding of a
+boundary of the cumulative D^2. Non-finite points are refused before any
+draw.
 """
 
 from __future__ import annotations
@@ -54,11 +74,14 @@ def _draw(d2: np.ndarray, total: float, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _seed_picks(points: np.ndarray, k: int, rngs: list[np.random.Generator]) -> np.ndarray:
-    """k-means++ (D^2 sampling) for every stream in ``rngs`` at once: (R, k) point indices."""
+def _seed_picks(points: np.ndarray, pp: np.ndarray, k: int, rngs: list[np.random.Generator]) -> np.ndarray:
+    """k-means++ (D^2 sampling) for every stream in ``rngs`` at once: (R, k) point indices.
+
+    ``pp`` holds the squared norms of the rows of ``points``.
+    """
     q = points.shape[0]
     r = len(rngs)
-    pp = (points * points).sum(axis=1)
+    points_t = np.ascontiguousarray(points.T)
     picks = np.empty((r, k), dtype=np.int64)
     picks[:, 0] = [rng.integers(q) for rng in rngs]
     replicates = np.arange(r)
@@ -68,25 +91,33 @@ def _seed_picks(points: np.ndarray, k: int, rngs: list[np.random.Generator]) -> 
         chosen = picks[:, j - 1]
         # |x - c|^2 = |x|^2 + |c|^2 - 2 x.c for all R chosen points: one GEMM,
         # the -2 folded into it (exact); each chosen point's own entry is exactly 0
-        np.matmul(points[chosen] * -2.0, points.T, out=dist)
+        np.matmul(points[chosen] * -2.0, points_t, out=dist)
         dist += pp
         dist += pp[chosen, None]
         np.maximum(dist, 0.0, out=dist)
         dist[replicates, chosen] = 0.0
         np.minimum(d2, dist, out=d2)
         totals = d2.sum(axis=1)
-        for i, rng in enumerate(rngs):
-            picks[i, j] = _draw(d2[i], totals[i], rng) if totals[i] > 0 else rng.integers(q)
+        if (totals > 0).all():
+            # _draw for every replicate at once: the same cdf row by row, in
+            # the distance buffer, and one uniform from each replicate's own stream
+            cdf = np.divide(d2, totals[:, None], out=dist)
+            np.cumsum(cdf, axis=1, out=cdf)
+            cdf /= cdf[:, -1:].copy()
+            picks[:, j] = [cdf[i].searchsorted(rng.random(), side="right") for i, rng in enumerate(rngs)]
+        else:
+            for i, rng in enumerate(rngs):
+                picks[i, j] = _draw(d2[i], totals[i], rng) if totals[i] > 0 else rng.integers(q)
     return picks
 
 
-def _lloyd(points, centroids, max_iters, tol):
+def _lloyd(points, pp, centroids, max_iters, tol):
     q = points.shape[0]
     k = centroids.shape[0]
-    pp = (points * points).sum(axis=1)[:, None]
     rows = np.arange(q)
-    column_ptr = np.arange(q + 1)
-    ones = np.ones(q)
+    # the (k, q) one-hot matrix in CSC form, column i holding one 1 in row
+    # labels[i]: built once, its row indices overwritten by each iteration's labels
+    onehot = sp.csc_array((np.ones(q), np.zeros(q, dtype=np.int64), np.arange(q + 1)), shape=(k, q))
     cross = np.empty((q, k))
     dist = np.empty((q, k))
     labels = np.zeros(q, dtype=np.int64)
@@ -95,32 +126,42 @@ def _lloyd(points, centroids, max_iters, tol):
     for it in range(max_iters):
         # (q, k) squared distances pp + cc - 2 P C^T, clipped at 0 for safety
         np.matmul(points, (centroids * -2.0).T, out=cross)  # scaling by -2 is exact
-        np.add(pp, (centroids * centroids).sum(axis=1), out=dist)
+        # cc copied into every row, then pp added: fl(pp + cc), faster than
+        # np.add(pp[:, None], cc) on short rows
+        np.copyto(dist, (centroids * centroids).sum(axis=1))
+        dist += pp[:, None]
         dist += cross
         np.maximum(dist, 0.0, out=dist)
         labels = dist.argmin(axis=1)  # argmin takes first minimum: ties go to lowest index
         point_d2 = dist[rows, labels]
         new_inertia = float(point_d2.sum())
         iters = it + 1
-        # centroid update: one grouped sum, the product with the (k, q) one-hot
-        # matrix in CSC form (column i holds one 1, in row labels[i]); it adds
-        # each cluster's points in point order, as a masked mean does
         counts = np.bincount(labels, minlength=k)
         filled = counts > 0
-        sums = sp.csc_array((ones, labels, column_ptr), shape=(k, q)) @ points
-        centroids[filled] = sums[filled] / counts[filled, None]
-        empty = np.flatnonzero(~filled)
-        for j in empty:
-            # reseed at the point farthest from its current centroid
-            far = int(point_d2.argmax())
-            centroids[j] = points[far]
-            point_d2[far] = 0.0  # successive empty clusters pick distinct points
-        repaired = empty.size > 0
+        repaired = not filled.all()
         converged = inertia - new_inertia <= tol * max(new_inertia, np.finfo(float).tiny)
         # at inertia 0 no move can lower it, not even an empty-cluster repair
         if new_inertia == 0.0 or (converged and not repaired):
             inertia = new_inertia
             break
+        if it > 0 and not repaired and np.array_equal(labels, onehot.indices):
+            # the labels of the last update again: the centroids come out
+            # unchanged, so the next iteration would repeat this one bit for
+            # bit and stop as converged; count it, without running it
+            inertia = new_inertia
+            iters = min(it + 2, max_iters)
+            break
+        # centroid update: one grouped sum, the product with the one-hot
+        # matrix; it adds each cluster's points in point order, as a masked
+        # mean does
+        onehot.indices[:] = labels
+        sums = onehot @ points
+        centroids[filled] = sums[filled] / counts[filled, None]
+        for j in np.flatnonzero(~filled):
+            # reseed at the point farthest from its current centroid
+            far = int(point_d2.argmax())
+            centroids[j] = points[far]
+            point_d2[far] = 0.0  # successive empty clusters pick distinct points
         inertia = new_inertia
     return labels, inertia, iters
 
@@ -147,10 +188,15 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> Labeling:
     if not finite.all():
         raise ValueError(f"points must be finite: row {int(np.argmin(finite))} is not")
 
+    # the norms of the caller's rows, whatever their memory order
+    pp = (points * points).sum(axis=1)
     rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(REPLICATES)]
+    seeds = _seed_picks(points, pp, k, rngs)
+    # the Lloyd products read one C-ordered block
+    block = np.ascontiguousarray(points)
     best: Labeling | None = None
-    for picks in _seed_picks(points, k, rngs):
-        labels, inertia, iters = _lloyd(points, points[picks], MAX_ITERS, TOL)
+    for picks in seeds:
+        labels, inertia, iters = _lloyd(block, pp, block[picks], MAX_ITERS, TOL)
         if best is None or inertia < best.inertia:
             best = Labeling(labels=labels, inertia=inertia, iterations_run=iters)
     assert best is not None

@@ -340,8 +340,11 @@ def sweep(
     resumes. An existing CSV whose header differs from ``SWEEP_FIELDS``
     (written by an older version) is refused with a ``ValueError`` and left
     untouched. ``force`` restarts from scratch. Rows are written in
-    deterministic grid order regardless of thread count.
+    deterministic grid order regardless of thread count. ``threads`` below 1
+    is refused with a ``ValueError`` before the CSV is opened.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if not isinstance(spec, dict):
         spec = json.loads(Path(spec).read_text(encoding="utf-8"))
     out_path = Path(out_path)

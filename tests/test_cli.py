@@ -75,6 +75,21 @@ def test_k_below_two_is_usage_error(tmp_path, sbm_files, capsys):
             assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_bench_threads_below_one_is_usage_error(tmp_path, capsys, threads):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "graph": {"num_nodes": 60, "k": 3, "avg_degree": 8.0, "epsilon": 0.05},
+        "methods": ["csc"],
+        "replicates": 1,
+        "seed": 3,
+    }))
+    report = tmp_path / "report.csv"
+    assert main(["bench", "--spec", str(spec), "--output", str(report), "--threads", threads]) == EXIT_USAGE
+    assert f"threads must be >= 1, got {threads}" in _error(capsys, EXIT_USAGE)
+    assert not report.exists()
+
+
 def test_sbm_gen_zero_communities_is_usage_error(tmp_path, capsys):
     assert main(["sbm-gen", "--n", "100", "--k", "0", "--output", str(tmp_path / "g")]) == EXIT_USAGE
     assert "k must be >= 1, got k=0" in _error(capsys, EXIT_USAGE)

@@ -21,7 +21,18 @@ def _repair_input():
     return np.concatenate([rng.standard_normal((60, 2)) * 0.1, [[50.0, 0.0]], [[0.0, 50.0]]])
 
 
-LOOP_CASES = ["blobs-k4", "gaussian-500x20-k40", "repair-input", "duplicates-3x4-k5"]
+def _unit_rows_f_order(rng, k=12, per=25):
+    pts, _ = _blobs(rng, k=k, per=per, dim=k, sep=1.0, std=0.3)
+    pts = np.asfortranarray(pts)
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+
+def _lloyd_as_kmeans(pts, init, max_iters, tol):
+    """``_lloyd`` with the arguments ``kmeans`` gives it: the caller's norms, a C-ordered block."""
+    return _lloyd(np.ascontiguousarray(pts), (pts * pts).sum(axis=1), init.copy(), max_iters, tol)
+
+
+LOOP_CASES = ["blobs-k4", "gaussian-500x20-k40", "repair-input", "duplicates-3x4-k5", "unit-rows-f-order-k12"]
 
 
 def _loop_case(case):
@@ -33,6 +44,9 @@ def _loop_case(case):
         return np.random.default_rng(10).standard_normal((500, 20)), 40, 2
     if case == "repair-input":
         return _repair_input(), 3, 1
+    if case == "unit-rows-f-order-k12":
+        # the layout SC passes: rows of an F-ordered eigenvector block, scaled to unit norm
+        return _unit_rows_f_order(np.random.default_rng(12)), 12, 4
     # 3 distinct integer rows, each 4 times: the norm expansion is exact, so
     # once all 3 are picked every D^2 is 0 and each next pick is rng.integers
     return np.repeat([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]], 4, axis=0), 5, 3
@@ -74,7 +88,7 @@ class TestKmeans:
         rng = np.random.default_rng(2)
         pts = rng.standard_normal((200, 4))
         c0 = pts[rng.choice(200, size=6, replace=False)]
-        inertia = [_lloyd(pts, c0.copy(), m, 0.0)[1] for m in range(1, 11)]
+        inertia = [_lloyd_as_kmeans(pts, c0, m, 0.0)[1] for m in range(1, 11)]
         assert np.all(np.diff(inertia) <= 1e-9)
 
     def test_permutation_equivariance_matched_init(self):
@@ -83,8 +97,8 @@ class TestKmeans:
         pts, _ = _blobs(rng, k=3, per=20)
         init = pts[[0, 25, 45]]
         perm = rng.permutation(len(pts))
-        base = _lloyd(pts, init.copy(), 100, 1e-6)[0]
-        permuted = _lloyd(pts[perm], init.copy(), 100, 1e-6)[0]
+        base = _lloyd_as_kmeans(pts, init, 100, 1e-6)[0]
+        permuted = _lloyd_as_kmeans(pts[perm], init, 100, 1e-6)[0]
         assert np.array_equal(permuted, base[perm])
 
     def test_deterministic_under_seed(self):
@@ -130,17 +144,47 @@ class TestKmeans:
         # two centroids start empty: both reseed, at distinct farthest points
         pts = _repair_input()
         init = np.array([[0.0, 0.0], [0.0, 0.0], [100.0, 100.0]])
-        got = _lloyd(pts, init.copy(), 100, 1e-6)
+        got = _lloyd_as_kmeans(pts, init, 100, 1e-6)
         ref = loop_lloyd(pts, init.copy(), 100, 1e-6)
         assert np.array_equal(got[0], ref[0]) and got[1:] == ref[1:]
         assert sorted(np.bincount(got[0]).tolist()) == [1, 1, 60]
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("tol", [0.0, 1e-6])
+    def test_lloyd_matches_loop_reference_at_every_iteration_cap(self, order, tol):
+        # a run that stops on a repeat of its last labels counts the
+        # iteration it skips: labels, iterations_run and inertia as the loop's
+        # for every cap, also where the cap falls on that skipped iteration
+        for v in range(6):
+            rng = np.random.default_rng(30 + v)
+            pts, _ = _blobs(rng, k=5, per=40, dim=3, sep=3.0, std=1.0)
+            pts = np.asarray(pts, order=order)
+            init = pts[rng.choice(len(pts), size=6, replace=False)]
+            stops = set()
+            for m in range(1, 12):
+                got = _lloyd_as_kmeans(pts, init, m, tol)
+                ref = loop_lloyd(pts, init.copy(), m, tol)
+                assert np.array_equal(got[0], ref[0])
+                assert got[2] == ref[2]
+                assert got[1] == pytest.approx(ref[1], rel=1e-12, abs=0.0)
+                stops.add(got[2])
+            assert len(stops) > 1  # some cap falls before the run stops
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_caller_points_unchanged(self, order):
+        pts = np.asarray(_unit_rows_f_order(np.random.default_rng(3)), order=order)
+        before = pts.copy(order="K")
+        kmeans(pts, 12, 0)
+        assert np.array_equal(pts, before)
+        assert pts.flags.f_contiguous == (order == "F")
 
     @pytest.mark.parametrize("case", LOOP_CASES)
     def test_lockstep_seeding_matches_loop_per_replicate(self, case):
         # every replicate, not only the one whose Lloyd run wins
         pts, k, seed = _loop_case(case)
         streams = np.random.SeedSequence(seed).spawn(REPLICATES)
-        picks = _seed_picks(pts, k, [np.random.default_rng(ss) for ss in streams])
+        pp = (pts * pts).sum(axis=1)
+        picks = _seed_picks(pts, pp, k, [np.random.default_rng(ss) for ss in streams])
         assert picks.shape == (REPLICATES, k)
         for r, ss in enumerate(streams):
             assert np.array_equal(pts[picks[r]], loop_seed_centroids(pts, k, np.random.default_rng(ss)))

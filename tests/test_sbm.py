@@ -290,6 +290,22 @@ class TestSweep:
         assert not (tmp_path / "stale.csv").exists()
         assert len(expand_sweep_spec(self._tiny_spec(csc={"d": [8, 12]}))) == 8
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_refused_before_the_csv(self, tmp_path, monkeypatch, threads):
+        def no_run(run):
+            raise AssertionError("no run may start")
+
+        monkeypatch.setattr(cscluster.sbm, "_execute_run", no_run)
+        out = tmp_path / "threads.csv"
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            sweep(self._tiny_spec(), out, threads=threads)
+        assert not out.exists()
+        # nor is an existing CSV removed, even with force
+        out.write_text("kept\n")
+        with pytest.raises(ValueError, match="threads"):
+            sweep(self._tiny_spec(), out, threads=threads, force=True)
+        assert out.read_text() == "kept\n"
+
     def test_threaded_matches_serial(self, tmp_path):
         serial = tmp_path / "serial.csv"
         threaded = tmp_path / "threaded.csv"
