@@ -190,21 +190,27 @@ class TestKmeans:
             assert np.array_equal(pts[picks[r]], loop_seed_centroids(pts, k, np.random.default_rng(ss)))
 
     def test_draw_is_rng_choice(self):
-        # the same index as rng.choice(q, p=d2 / total), and the stream left
-        # where choice leaves it; zero entries can never be drawn
+        # row by row the same index as rng.choice(q, p=d2 / total), and each
+        # stream left where choice leaves it; zero entries can never be
+        # drawn, and a row of zeros draws rng.integers(q)
         src = np.random.default_rng(11)
         for v in range(60):
             q = int(src.integers(1, 400))
-            d2 = src.random(q) ** 3 * 10.0 ** int(src.integers(-4, 5))
-            d2[src.random(q) < 0.3] = 0.0
-            d2[int(src.integers(q))] = 1.0
-            total = d2.sum()
-            ours, theirs = np.random.default_rng(v), np.random.default_rng(v)
+            d2 = src.random((5, q)) ** 3 * 10.0 ** src.integers(-4, 5, size=(5, 1))
+            d2[src.random((5, q)) < 0.3] = 0.0
+            d2[np.arange(5), src.integers(q, size=5)] = 1.0
+            d2[int(src.integers(5))] = 0.0
+            streams = np.random.SeedSequence(v).spawn(5)
+            ours = [np.random.default_rng(ss) for ss in streams]
+            theirs = [np.random.default_rng(ss) for ss in streams]
+            buffer = np.empty_like(d2)
             for _ in range(40):
-                i = _draw(d2, total, ours)
-                assert i == theirs.choice(q, p=d2 / total)
-                assert d2[i] > 0
-            assert ours.random() == theirs.random()
+                got = _draw(d2, ours, out=buffer if v % 2 else None)
+                for row, i, rng in zip(d2, got, theirs):
+                    total = row.sum()
+                    assert i == (rng.choice(q, p=row / total) if total > 0 else rng.integers(q))
+                    assert row[i] > 0 or total == 0
+            assert [r.random() for r in ours] == [r.random() for r in theirs]
 
     def test_draw_at_the_ends_of_the_unit_interval(self):
         # u = 0 and the largest u below 1 draw the first and last positive
@@ -217,7 +223,7 @@ class TestKmeans:
                 return self.u
 
         d2 = np.array([0.0, 0.1, 0.2, 0.0, 0.3, 0.0])
-        ends = [_draw(d2, d2.sum(), FixedUniform(u)) for u in (0.0, np.nextafter(1.0, 0.0))]
+        ends = [int(_draw(d2[None], [FixedUniform(u)])[0]) for u in (0.0, np.nextafter(1.0, 0.0))]
         assert ends == [1, 4]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
