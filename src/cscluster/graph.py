@@ -192,11 +192,13 @@ def laplacian_op(graph: Graph) -> LaplacianOp:
     return LaplacianOp(graph=graph, d_inv_sqrt=dis, s=s, s32=s32)
 
 
-_NODES_HEADER = re.compile(r"^[^\S\n]*#[^\S\n]*nodes[^\S\n]+(\S+)[^\S\n]*$", re.M)
+_NODES_HEADER = re.compile(r"#[^\S\n]*nodes[^\S\n]+(\S+)[^\S\n]*$", re.M)
 _EDGE_ROWS = (
     np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)]),
     np.dtype([("src", np.int64), ("dst", np.int64)]),
 )
+# np.loadtxt opens a path with one of these suffixes as a compressed file
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def read_edge_list(path: str | Path) -> Graph:
@@ -206,30 +208,55 @@ def read_edge_list(path: str | Path) -> Graph:
     starts a comment anywhere on a line. A ``# nodes <N>`` comment line (as
     written by ``write_edge_list``) pins the node count so trailing isolated
     nodes survive a round trip; without one, the largest index gives it. A
-    leading UTF-8 byte order mark is ignored.
+    leading UTF-8 byte order mark is ignored, and LF, CRLF and lone-CR line
+    ends read alike. A file that is not UTF-8 raises ``GraphError`` naming
+    the line of the first bad byte.
+
+    The header scan visits only the ``#`` characters of the text and keeps
+    a ``# nodes <N>`` match whose line holds nothing but whitespace before
+    its ``#``, so an inline comment is never a header; the last header whose
+    N parses wins.
 
     A file whose lines all have 3 columns, or all 2, is parsed by one
-    ``np.loadtxt`` call, which refuses a row of any other width. Only a file
-    that both calls refuse (2- and 3-column lines mixed, or a line that does
-    not parse) takes a per-line pass, which reads the mixed lines and names
-    the first bad one as ``path:line``.
+    ``np.loadtxt`` call, which refuses a row of any other width. loadtxt
+    opens a regular file itself and reads it in large blocks, about twice
+    as fast as from a copy of the text. Only a file that both calls refuse
+    (2- and 3-column lines mixed, or a line that does not parse) takes a
+    per-line pass, which reads the mixed lines and names the first bad one
+    as ``path:line``.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8-sig")
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # bytes.splitlines breaks lines where universal newlines do
+        lineno = len((exc.object[: exc.start] + b"x").splitlines())
+        bad = exc.object[exc.start]
+        raise GraphError(f"{path}:{lineno}: not UTF-8 text (byte 0x{bad:02x}: {exc.reason})") from None
     num_nodes = None
-    for token in _NODES_HEADER.findall(text):
+    for match in _NODES_HEADER.finditer(text):
+        hash_at = match.start()
+        if text[text.rfind("\n", 0, hash_at) + 1 : hash_at].strip():
+            continue  # an inline comment
         try:
-            num_nodes = int(token)
+            num_nodes = int(match[1])
         except ValueError:
             pass
+    # loadtxt reads a regular file from its path; a pipe, read once already,
+    # and a name loadtxt would decompress get a copy of the text instead
+    reopen = path.is_file() and path.suffix not in _COMPRESSED_SUFFIXES
     for row in _EDGE_ROWS:
+        source = path if reopen else io.StringIO(text)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # a file without edges
-                rows = np.loadtxt(io.StringIO(text), dtype=row, comments="#", ndmin=1)
+                rows = np.loadtxt(source, dtype=row, comments="#", ndmin=1, encoding="utf-8-sig")
         except ValueError:
             continue
-        return build_graph(np.column_stack([rows[name] for name in row.names]), num_nodes=num_nodes)
+        cols = [rows[name] for name in row.names]
+        if len(cols) == 2:
+            cols.append(np.ones(rows.size))  # one stack, not two in build_graph
+        return build_graph(np.column_stack(cols), num_nodes=num_nodes)
     return build_graph(_parse_lines(path, text), num_nodes=num_nodes)
 
 

@@ -63,9 +63,13 @@ def dense_eig(op: LaplacianOp, count: int | None = None) -> EigenBasis:
     if not 1 <= count <= n:
         raise ValueError(f"count={count} eigenpairs out of range [1, {n}]")
     # MRRR (syevr) computes only the leading pairs asked for: the k + 1 that SC
-    # reads take 0.06 s at N = 1000, k = 20 on 2 vCPUs, against 0.15 s for all
-    # N pairs by divide and conquer (syevd); L comes in Fortran order, so
-    # overwrite_a leaves LAPACK no N x N copy to make
+    # reads take 0.05-0.06 s at N = 1000, k = 20 on 2 vCPUs, against 0.15 s
+    # for all N pairs by divide and conquer (syevd). That holds only when no
+    # other BLAS is busy: numpy and scipy each load their own OpenBLAS, and
+    # within about 0.1 s of a numpy BLAS call (such as a run_csc just before)
+    # that pool's spinning worker holds the second vCPU, and the same call
+    # takes 0.10-0.11 s, as with one BLAS thread. L comes in Fortran order,
+    # so overwrite_a leaves LAPACK no N x N copy to make
     w, V = scipy.linalg.eigh(
         op.dense(), overwrite_a=True, check_finite=False, driver="evr", subset_by_index=[0, count - 1]
     )

@@ -146,6 +146,15 @@ def test_negative_node_header_is_io_error(tmp_path, capsys):
     assert "num_nodes must be >= 0, got -3" in _error(capsys, EXIT_IO)
 
 
+def test_non_utf8_input_is_io_error(tmp_path, capsys):
+    edges = tmp_path / "bad.edgelist"
+    edges.write_bytes(b"0 1\n1 2 \xff\n")
+    argv = ["cluster", "--input", str(edges), "--output", str(tmp_path / "o.csv"), "--k", "2"]
+    assert main(argv) == EXIT_IO
+    message = _error(capsys, EXIT_IO)
+    assert message.startswith(f"{edges}:2: not UTF-8 text (byte 0xff: ")
+
+
 def test_nan_weight_is_io_error(tmp_path, capsys):
     edges = tmp_path / "nan.edges"
     edges.write_text("0 1 1.0\n1 2 nan\n2 3 1.0\n3 0 1.0\n")

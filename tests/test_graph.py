@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import os
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,7 +269,10 @@ class TestEdgeListIO:
         assert (W[0, 1], W[1, 2], W[2, 3], W[0, 3]) == (1.0, 2.5, 1.0, 0.25)
         assert g.num_edges == 4
 
-    @pytest.mark.parametrize("body", ["0 1\n1 2\n# nodes 4\n", "0 1 0.5\n  1 2 2.5\n\n# c\n"])
+    @pytest.mark.parametrize(
+        "body",
+        ["0 1\n1 2\n# nodes 4\n", "0 1 0.5\n  1 2 2.5\n\n# c\n", "\ufeff0 1\r\n1 2\r\n", "0 1 0.5\r1 2 2.5\r"],
+    )
     def test_uniform_width_skips_per_line_pass(self, tmp_path, monkeypatch, body):
         def per_line(path, text):
             raise AssertionError("a uniform-width file must parse in one np.loadtxt call")
@@ -322,6 +327,90 @@ class TestEdgeListIO:
         path.write_bytes(b"\xef\xbb\xbf0 1\n1 2\n")
         g = read_edge_list(path)
         assert g.num_nodes == 3 and g.num_edges == 2
+
+    @pytest.mark.parametrize(
+        "body, num_nodes",
+        [
+            ("# nodes 9\n0 1 # nodes 12\n", 9),  # an inline comment is not a header
+            ("# nodes 9\n0 1\n#   nodes   4  \n1 2\n# nodes x\n", 4),  # the last parseable token wins
+            ("## nodes 7\n0 1\n", 2),  # "#" before the "#" is not whitespace
+            (" \t# nodes 6\n0 1\n", 6),  # leading whitespace counts
+            ("# nodes 6 # nodes 8\n0 1\n", 2),  # two tokens after "nodes"
+            ("0 1\n# nodes 5", 5),  # a last line without a newline
+        ],
+        ids=["inline", "last-parseable", "double-hash", "leading-space", "two-tokens", "no-newline"],
+    )
+    def test_node_count_header_rule(self, tmp_path, body, num_nodes):
+        path = tmp_path / "hdr.edges"
+        path.write_text(body)
+        assert read_edge_list(path).num_nodes == num_nodes
+
+    @staticmethod
+    def _assert_same_graph(a, b):
+        assert type(a.num_nodes) is type(b.num_nodes) and a.num_nodes == b.num_nodes
+        for name in ("indptr", "indices", "weights", "degrees"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+    @pytest.mark.parametrize("columns", [2, 3])
+    def test_line_ends_and_byte_order_mark_read_alike(self, tmp_path, columns):
+        # np.loadtxt decodes the file itself: CRLF, lone-CR and BOM copies
+        # must give the LF file's graph byte for byte, with its header
+        rng = np.random.default_rng(11)
+        write_edge_list(random_graph(40, 0.15, rng), tmp_path / "g.edges")
+        lines = (tmp_path / "g.edges").read_text().splitlines()
+        lines[0] = "# nodes 45"  # five trailing isolated nodes ride on the header
+        if columns == 2:
+            lines = [line if line.startswith("#") else " ".join(line.split()[:2]) for line in lines]
+        lf = tmp_path / "lf.edges"
+        lf.write_bytes(("\n".join(lines) + "\n").encode())
+        ref = read_edge_list(lf)
+        assert ref.num_nodes == 45
+        copies = {
+            "crlf": lf.read_bytes().replace(b"\n", b"\r\n"),
+            "cr": lf.read_bytes().replace(b"\n", b"\r"),
+            "bom": b"\xef\xbb\xbf" + lf.read_bytes(),
+        }
+        for name, data in copies.items():
+            path = tmp_path / f"{name}.edges"
+            path.write_bytes(data)
+            self._assert_same_graph(read_edge_list(path), ref)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_read_as_text(self, tmp_path, suffix):
+        # np.loadtxt would decompress a path with these suffixes
+        body = "# nodes 5\n0 1 0.5\n1 2 2.5\n"
+        plain, named = tmp_path / "g.edges", tmp_path / f"g{suffix}"
+        plain.write_text(body)
+        named.write_text(body)
+        self._assert_same_graph(read_edge_list(named), read_edge_list(plain))
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+    def test_pipe_is_read_once(self):
+        # a pipe cannot be opened a second time for np.loadtxt
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"# nodes 4\n0 1\n1 2\n")
+        os.close(write_end)
+        try:
+            g = read_edge_list(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert g.num_nodes == 4 and g.num_edges == 2
+
+    @pytest.mark.parametrize(
+        "data, lineno",
+        [
+            (b"0 1\n1 2 \xff\n", 2),
+            (b"\xef\xbb\xbf0 1\r\n1 2\r\n\xff 3\r\n", 3),
+            (b"0 1\r1 2\r2 3 \xe2\x82", 3),  # a truncated character at the end
+        ],
+        ids=["lf", "bom-crlf", "cr-truncated"],
+    )
+    def test_not_utf8_names_the_line(self, tmp_path, data, lineno):
+        path = tmp_path / "bad.edges"
+        path.write_bytes(data)
+        with pytest.raises(GraphError, match=rf"bad.edges:{lineno}: not UTF-8 text \(byte 0x"):
+            read_edge_list(path)
 
     def test_negative_node_count_rejected(self, tmp_path):
         path = tmp_path / "neg.edges"
