@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure (the dense
 eigendecomposition's size cap, an empty cluster in the reduced k-means, a
-node with a zero row in SC's leading eigenvectors, or an arithmetic error),
-4 I/O error. Failures print a machine-readable JSON object to stderr. The
-CSC_LOG environment variable sets the log level.
+node with a zero row in SC's leading eigenvectors, an arithmetic error, or a
+failed allocation, such as the one for the node count that a huge id in a
+headerless edge list implies), 4 I/O error. Failures print a
+machine-readable JSON object to stderr. The CSC_LOG environment variable
+sets the log level.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from . import __version__
 from .filters import DEFAULT_FILTER_ORDER
 from .graph import GraphError, laplacian_op, read_edge_list, write_edge_list
 from .oracle import DEFAULT_DENSE_CAP, DenseCapError, run_sc_baseline
-from .pipeline import CscParams, run_csc
+from .pipeline import SIGNAL_OVERSAMPLING, CscParams, run_csc
 from .result import DegenerateClusteringError, write_labels_csv
 from .sbm import SbmConfig, critical_epsilon, sbm_generate, sweep
 
@@ -32,7 +34,8 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 _DEFAULTS_NOTE = (
-    f"defaults: n = 2k log k, d = max(4 log n, k + 10) and p = {DEFAULT_FILTER_ORDER} (natural logs, rounded up)"
+    f"defaults: n = 2k log k, d = max(4 log n, k + {SIGNAL_OVERSAMPLING}) and p = {DEFAULT_FILTER_ORDER} "
+    "(natural logs, rounded up)"
 )
 
 
@@ -102,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     clu.add_argument("--method", choices=("csc", "sc"), default="csc")
     clu.add_argument("--k", type=int, required=True, help="number of clusters")
     clu.add_argument("--n", type=int, help="sampled nodes (default 2k log k, rounded up)")
-    clu.add_argument("--d", type=int, help="random signals (default max(4 log n, k + 10), log rounded up)")
+    clu.add_argument("--d", type=int,
+                     help=f"random signals (default max(4 log n, k + {SIGNAL_OVERSAMPLING}), log rounded up)")
     clu.add_argument("--p", type=int, default=DEFAULT_FILTER_ORDER,
                      help=f"polynomial filter order (default {DEFAULT_FILTER_ORDER})")
     clu.add_argument("--lambda-k", type=float, dest="lambda_k",
@@ -208,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(exc), exc.exit_code)
     except (GraphError, FileNotFoundError, PermissionError, IsADirectoryError, json.JSONDecodeError) as exc:
         return _fail(str(exc), EXIT_IO)
-    except (DenseCapError, DegenerateClusteringError, ArithmeticError) as exc:
+    except (DenseCapError, DegenerateClusteringError, ArithmeticError, MemoryError) as exc:
         return _fail(str(exc), EXIT_NUMERIC)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)

@@ -59,20 +59,31 @@ def jackson_multipliers(order: int) -> np.ndarray:
     return ((q - l) * np.cos(ang) + np.sin(ang) / np.tan(np.pi / q)) / q
 
 
-def design_lowpass(cutoff: float, order: int) -> PolyFilter:
-    """Jackson-damped polynomial approximation of the ideal low-pass step at
-    ``cutoff``. Every multiplier is positive, so dividing the coefficients by
-    ``jackson_multipliers(order)`` gives the undamped series."""
-    if not 0.0 < cutoff < 2.0:
-        raise ValueError(f"cutoff must lie in (0, 2), got {cutoff}")
+def lowpass_coefficients(cutoffs: np.ndarray | float, order: int) -> np.ndarray:
+    """Jackson-damped Chebyshev coefficients of the low-pass step at each of
+    ``cutoffs``, one row of length ``order + 1`` per cut-off, from the closed
+    form of the module docstring."""
+    cutoffs = np.atleast_1d(np.asarray(cutoffs, dtype=np.float64))
+    outside = ~((cutoffs > 0.0) & (cutoffs < 2.0))
+    if outside.any():
+        raise ValueError(f"cutoff must lie in (0, 2), got {cutoffs[outside][0]}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    theta_c = np.arccos(cutoff - 1.0)
+    theta_c = np.arccos(cutoffs - 1.0)[:, None]
     l = np.arange(1, order + 1)
-    coeffs = np.empty(order + 1)
-    coeffs[0] = 1.0 - theta_c / np.pi
-    coeffs[1:] = -2.0 * np.sin(l * theta_c) / (np.pi * l)
-    return PolyFilter(coeffs=coeffs * jackson_multipliers(order))
+    coeffs = np.empty((cutoffs.size, order + 1))
+    coeffs[:, :1] = 1.0 - theta_c / np.pi
+    coeffs[:, 1:] = -2.0 * np.sin(l * theta_c) / (np.pi * l)
+    coeffs *= jackson_multipliers(order)
+    return coeffs
+
+
+def design_lowpass(cutoff: float, order: int) -> PolyFilter:
+    """Jackson-damped polynomial approximation of the ideal low-pass step at
+    ``cutoff``: the one-row case of ``lowpass_coefficients``. Every
+    multiplier is positive, so dividing the coefficients by
+    ``jackson_multipliers(order)`` gives the undamped series."""
+    return PolyFilter(coeffs=lowpass_coefficients(cutoff, order)[0])
 
 
 def apply_filter(filt: PolyFilter, op: LaplacianOp, x: np.ndarray) -> np.ndarray:

@@ -5,6 +5,12 @@ whose spectrum lies in [0, 2]. Zero-degree nodes get d^{-1/2} = 0, so L acts
 as the identity on their coordinate; ``Graph.isolated_nodes`` flags them, and
 the clustering pipeline excludes them from its node sample (their filtered
 row carries no cluster geometry) while still labeling them.
+
+Every ``Graph`` comes from one constructor, ``_from_edges``: int64 source
+and target ids and float64 weights, checked, summed per direction and
+max-symmetrized in one sparse pass. ``build_graph`` (triples from callers
+and ``sbm_generate``) and ``read_edge_list`` (both of its parse paths)
+hand it their arrays.
 """
 
 from __future__ import annotations
@@ -53,46 +59,14 @@ class Graph:
         return sp.csr_matrix((self.weights, self.indices, self.indptr), shape=(self.num_nodes, self.num_nodes))
 
 
-def _from_scipy(A: sp.spmatrix, num_nodes: int) -> Graph:
-    A = sp.csr_matrix(A)
-    A.sum_duplicates()
-    A.sort_indices()
-    A.eliminate_zeros()
-    degrees = np.asarray(A.sum(axis=1)).ravel().astype(np.float64)
-    return Graph(
-        num_nodes=num_nodes,
-        indptr=A.indptr.copy(),
-        indices=A.indices.copy(),
-        weights=A.data.astype(np.float64, copy=True),
-        degrees=degrees,
-    )
+def _from_edges(src: np.ndarray, dst: np.ndarray, w: np.ndarray, num_nodes: int | None) -> Graph:
+    """The graph of directed entries ``src[e] -> dst[e]`` with weight ``w[e]``
+    (int64 ids, float64 weights): duplicate entries with the same direction
+    are summed, then the larger of the two directions wins. Without
+    ``num_nodes`` the largest id gives the node count.
 
-
-def build_graph(
-    edges: Iterable[Sequence[float]] | np.ndarray,
-    num_nodes: int | None = None,
-) -> Graph:
-    """Build a canonical symmetric graph from (i, j[, weight]) triples.
-
-    Duplicate entries with the same direction are summed first; when both
-    directions of an edge then carry different weights, the larger one wins.
-    Missing weights default to 1.0. Self-loops (i == j) are rejected.
-    """
-    arr = np.atleast_2d(np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.float64))
-    if arr.size == 0:
-        arr = arr.reshape(0, 3)
-    if arr.shape[1] == 2:
-        arr = np.column_stack([arr, np.ones(arr.shape[0])])
-    elif arr.shape[1] != 3:
-        raise GraphError(f"edges must be (i, j) or (i, j, w) rows, got shape {arr.shape}")
-
-    src = arr[:, 0]
-    dst = arr[:, 1]
-    w = arr[:, 2]
-    if not np.all(src == np.floor(src)) or not np.all(dst == np.floor(dst)):
-        raise GraphError("node indices must be integers")
-    src = src.astype(np.int64)
-    dst = dst.astype(np.int64)
+    Sparse ``maximum`` leaves W canonical (sorted, deduplicated, no explicit
+    zeros), so its arrays become the graph's without a further pass."""
     if not np.all(np.isfinite(w)):
         bad = int(np.flatnonzero(~np.isfinite(w))[0])
         raise GraphError(f"non-finite weight {w[bad]} on edge ({src[bad]}, {dst[bad]})")
@@ -113,10 +87,36 @@ def build_graph(
     if loops.size:
         raise GraphError(f"self-loop on node {int(src[loops[0]])}")
 
-    A = sp.coo_matrix((w, (src, dst)), shape=(num_nodes, num_nodes)).tocsr()
-    A.sum_duplicates()
-    W = A.maximum(A.T)  # max-symmetrization after per-direction summing
-    return _from_scipy(W, num_nodes)
+    A = sp.csr_matrix((w, (src, dst)), shape=(num_nodes, num_nodes))  # sums duplicates
+    W = A.maximum(A.T)
+    indices, weights = W.indices, W.data
+    if indices.base is not None and indices.base.size > indices.size:
+        # views into buffers sized for both operands, twice W's entries when
+        # the input lists both directions of every edge: keep W's share only
+        indices, weights = indices.copy(), weights.copy()
+    return Graph(num_nodes, W.indptr, indices, weights, np.asarray(W.sum(axis=1)).ravel())
+
+
+def build_graph(
+    edges: Iterable[Sequence[float]] | np.ndarray,
+    num_nodes: int | None = None,
+) -> Graph:
+    """Build a canonical symmetric graph from (i, j[, weight]) triples.
+
+    Duplicate entries with the same direction are summed first; when both
+    directions of an edge then carry different weights, the larger one wins.
+    Missing weights default to 1.0. Self-loops (i == j) are rejected.
+    """
+    arr = np.atleast_2d(np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.float64))
+    if arr.size == 0:
+        arr = arr.reshape(0, 3)
+    if arr.shape[1] not in (2, 3):
+        raise GraphError(f"edges must be (i, j) or (i, j, w) rows, got shape {arr.shape}")
+    ids = arr[:, :2]
+    if not np.all(ids == np.floor(ids)):
+        raise GraphError("node indices must be integers")
+    w = arr[:, 2] if arr.shape[1] == 3 else np.ones(arr.shape[0])
+    return _from_edges(ids[:, 0].astype(np.int64), ids[:, 1].astype(np.int64), w, num_nodes)
 
 
 @dataclass(frozen=True)
@@ -140,17 +140,12 @@ class LaplacianOp:
     """
 
     graph: Graph
-    d_inv_sqrt: np.ndarray
     s: sp.csr_matrix
     s32: sp.csr_matrix
 
     @property
     def num_nodes(self) -> int:
         return self.graph.num_nodes
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.graph.num_nodes, self.graph.num_nodes)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Return L x = x - S x for a vector or an N-row matrix of signals,
@@ -183,13 +178,12 @@ def laplacian_op(graph: Graph) -> LaplacianOp:
     """Build the normalized Laplacian operator and its S in float64 and
     float32; zero-degree entries of D^{-1/2} get 0."""
     d = graph.degrees
-    with np.errstate(divide="ignore"):
-        dis = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
+    dis = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
     data = graph.weights * np.repeat(dis, np.diff(graph.indptr)) * dis[graph.indices]
     shape = (graph.num_nodes, graph.num_nodes)
     s = sp.csr_matrix((data, graph.indices, graph.indptr), shape=shape)
     s32 = sp.csr_matrix((data.astype(np.float32), s.indices, s.indptr), shape=shape)
-    return LaplacianOp(graph=graph, d_inv_sqrt=dis, s=s, s32=s32)
+    return LaplacianOp(graph=graph, s=s, s32=s32)
 
 
 _NODES_HEADER = re.compile(r"#[^\S\n]*nodes[^\S\n]+(\S+)[^\S\n]*$", re.M)
@@ -210,7 +204,8 @@ def read_edge_list(path: str | Path) -> Graph:
     nodes survive a round trip; without one, the largest index gives it. A
     leading UTF-8 byte order mark is ignored, and LF, CRLF and lone-CR line
     ends read alike. A file that is not UTF-8 raises ``GraphError`` naming
-    the line of the first bad byte.
+    the line of the first bad byte. Node ids stay int64 from the text to the
+    graph, so an error names an id as the file writes it.
 
     The header scan visits only the ``#`` characters of the text and keeps
     a ``# nodes <N>`` match whose line holds nothing but whitespace before
@@ -253,17 +248,19 @@ def read_edge_list(path: str | Path) -> Graph:
                 rows = np.loadtxt(source, dtype=row, comments="#", ndmin=1, encoding="utf-8-sig")
         except ValueError:
             continue
-        cols = [rows[name] for name in row.names]
-        if len(cols) == 2:
-            cols.append(np.ones(rows.size))  # one stack, not two in build_graph
-        return build_graph(np.column_stack(cols), num_nodes=num_nodes)
-    return build_graph(_parse_lines(path, text), num_nodes=num_nodes)
+        break
+    else:
+        rows = _parse_lines(path, text)
+    w = rows["weight"] if "weight" in rows.dtype.names else np.ones(rows.size)
+    return _from_edges(rows["src"], rows["dst"], w, num_nodes)
 
 
-def _parse_lines(path: Path, text: str) -> list[tuple[int, int, float]]:
+def _parse_lines(path: Path, text: str) -> np.ndarray:
     """Per-line pass for files that mix 2- and 3-column lines, or that have
-    a bad line, which it names. Tokens with ``_`` or non-ASCII characters are
-    refused: Python's ``int`` and ``float`` read them, ``np.loadtxt`` does not."""
+    a bad line, which it names; the rows come back as 3-column records.
+    Tokens with ``_`` or non-ASCII characters are refused: Python's ``int``
+    and ``float`` read them, ``np.loadtxt`` does not. So is an id outside
+    int64, which ``np.loadtxt`` refuses as well."""
     rows = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         data = line.split("#", 1)[0]
@@ -280,7 +277,10 @@ def _parse_lines(path: Path, text: str) -> list[tuple[int, int, float]]:
             raise GraphError(
                 f"{path}:{lineno}: expected integer node ids and a float weight, got {line.strip()!r}"
             ) from None
-    return rows
+        for node in rows[-1][:2]:
+            if not -(2**63) <= node < 2**63:
+                raise GraphError(f"{path}:{lineno}: node id {node} does not fit in 64 bits")
+    return np.array(rows, dtype=_EDGE_ROWS[0])
 
 
 def write_edge_list(graph: Graph, path: str | Path) -> None:

@@ -39,8 +39,9 @@ class ClusterResult:
 
     def to_json(self, *, indent: int | None = None) -> str:
         """Deterministic JSON; timings are excluded so equal seeds serialize
-        byte-identically. Numpy scalars and arrays serialize as their
-        ``tolist()``."""
+        byte-identically at a fixed BLAS thread count (the SC baseline's
+        eigenvalues and k-means inertia differ between thread counts). Numpy
+        scalars and arrays serialize as their ``tolist()``."""
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent, default=_tolist)
 
     def save_json(self, path: str | Path) -> None:

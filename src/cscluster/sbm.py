@@ -22,11 +22,10 @@ from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._rng import substream, substream_seed
 from .filters import DEFAULT_FILTER_ORDER
-from .graph import Graph, _from_scipy, laplacian_op
+from .graph import Graph, build_graph, laplacian_op
 from .oracle import run_sc_baseline
 from .pipeline import CscParams, run_csc
 
@@ -129,27 +128,18 @@ def sbm_generate(cfg: SbmConfig) -> tuple[Graph, np.ndarray]:
             q = cfg.q1 if a == b else cfg.q2
             if a == b:
                 total = int(sizes[a]) * (int(sizes[a]) - 1) // 2
-                positions = _bernoulli_positions(total, q, rng)
-                if positions.size:
-                    i, j = _triangular_pairs(positions)
-                    rows.append(starts[a] + i)
-                    cols.append(starts[a] + j)
+                i, j = _triangular_pairs(_bernoulli_positions(total, q, rng))
+                rows.append(starts[a] + i)
+                cols.append(starts[a] + j)
             else:
                 total = int(sizes[a]) * int(sizes[b])
                 positions = _bernoulli_positions(total, q, rng)
-                if positions.size:
-                    rows.append(starts[a] + positions // sizes[b])
-                    cols.append(starts[b] + positions % sizes[b])
+                rows.append(starts[a] + positions // sizes[b])
+                cols.append(starts[b] + positions % sizes[b])
     labels = np.repeat(np.arange(cfg.k), sizes)
-    if rows:
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        data = np.ones(r.size)
-        A = sp.coo_matrix((data, (r, c)), shape=(cfg.num_nodes, cfg.num_nodes)).tocsr()
-        W = A + A.T  # each unordered pair was generated once
-    else:
-        W = sp.csr_matrix((cfg.num_nodes, cfg.num_nodes))
-    return _from_scipy(W, cfg.num_nodes), labels
+    # each unordered pair is drawn once, so max-symmetrization is A + A^T
+    pairs = np.column_stack([np.concatenate(rows), np.concatenate(cols)])
+    return build_graph(pairs, num_nodes=cfg.num_nodes), labels
 
 
 def adjusted_rand_index(labels_a: Sequence[int], labels_b: Sequence[int]) -> float:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import generate_signals
-from .filters import DEFAULT_FILTER_ORDER, chebyshev_terms, design_lowpass
+from .filters import DEFAULT_FILTER_ORDER, chebyshev_terms, lowpass_coefficients
 from .graph import LaplacianOp
 
 logger = logging.getLogger(__name__)
@@ -90,14 +90,12 @@ def chebyshev_moments(op: LaplacianOp, signals: np.ndarray, order: int) -> np.nd
     return mu
 
 
-def _lowpass_rows(lams: np.ndarray, degree: int) -> np.ndarray:
-    return np.stack([design_lowpass(float(lam), degree).coeffs for lam in lams])
-
-
 @functools.lru_cache(maxsize=4)
 def _grid_rows(order: int) -> np.ndarray:
-    """Degree-2 ``order`` low-pass coefficients at every grid point, built once per order."""
-    rows = _lowpass_rows(_GRID, 2 * order)
+    """Degree-2 ``order`` low-pass coefficients at every grid point, built
+    once per order: a table takes milliseconds, a share of every small
+    ``run_csc`` call that would repeat it."""
+    rows = lowpass_coefficients(_GRID, 2 * order)
     rows.flags.writeable = False
     return rows
 
@@ -114,8 +112,7 @@ def count_curve(moments: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray]:
     frequency in ``lams`` (inside (0, 2)), from ``chebyshev_moments`` of at
     least two signals. The count is that of the degree-2p damped low-pass,
     trace h_2p(L)."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
-    return _counts(_lowpass_rows(lams, moments.shape[0] - 1), moments)
+    return _counts(lowpass_coefficients(lams, moments.shape[0] - 1), moments)
 
 
 def _plateaus(flat: np.ndarray, count: np.ndarray, tol: np.ndarray) -> list[tuple[int, int]]:

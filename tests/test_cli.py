@@ -161,3 +161,21 @@ def test_nan_weight_is_io_error(tmp_path, capsys):
     argv = ["cluster", "--input", str(edges), "--output", str(tmp_path / "o.csv"), "--k", "2"]
     assert main(argv) == EXIT_IO
     assert "non-finite weight" in _error(capsys, EXIT_IO)
+
+
+def test_id_beyond_memory_is_numeric_failure(tmp_path, capsys):
+    # without a header the id gives the node count, and the CSR row
+    # pointer of 9007199254740994 nodes (64 PiB) cannot be allocated
+    edges = tmp_path / "huge.edges"
+    edges.write_text("0 1\n1 9007199254740993\n")
+    argv = ["cluster", "--input", str(edges), "--output", str(tmp_path / "o.csv"), "--k", "2"]
+    assert main(argv) == EXIT_NUMERIC
+    assert "allocate" in _error(capsys, EXIT_NUMERIC)
+
+
+def test_id_beyond_int64_is_io_error(tmp_path, capsys):
+    edges = tmp_path / "huge.edges"
+    edges.write_text("0 1\n1 9223372036854775808\n")
+    argv = ["cluster", "--input", str(edges), "--output", str(tmp_path / "o.csv"), "--k", "2"]
+    assert main(argv) == EXIT_IO
+    assert _error(capsys, EXIT_IO) == f"{edges}:2: node id 9223372036854775808 does not fit in 64 bits"

@@ -13,7 +13,7 @@ from cscluster import (
     jackson_multipliers,
     laplacian_op,
 )
-from cscluster.filters import chebyshev_terms
+from cscluster.filters import chebyshev_terms, lowpass_coefficients
 from helpers import random_graph
 
 
@@ -64,6 +64,23 @@ class TestDesign:
             design_lowpass(2.0, 10)
         with pytest.raises(ValueError):
             design_lowpass(1.0, 0)
+
+    @pytest.mark.parametrize("order", [1, 2, 7, 50, 100])
+    def test_table_is_the_scalar_closed_form_byte_for_byte(self, order):
+        # one row per cut-off, each the closed form evaluated at that
+        # cut-off alone; one cut-off outside (0, 2) refuses the whole table
+        cutoffs = np.concatenate([np.linspace(0.0, 2.0, 802)[1:-1], np.random.default_rng(0).uniform(0, 2, 50)])
+        reference = np.empty((cutoffs.size, order + 1))
+        l = np.arange(1, order + 1)
+        for row, cutoff in zip(reference, cutoffs.tolist()):
+            theta_c = np.arccos(cutoff - 1.0)
+            row[0] = 1.0 - theta_c / np.pi
+            row[1:] = -2.0 * np.sin(l * theta_c) / (np.pi * l)
+            row *= jackson_multipliers(order)
+        assert lowpass_coefficients(cutoffs, order).tobytes() == reference.tobytes()
+        assert design_lowpass(float(cutoffs[7]), order).coeffs.tobytes() == reference[7].tobytes()
+        with pytest.raises(ValueError, match="got 2.0"):
+            lowpass_coefficients([0.5, 2.0, 1.0], order)
 
     def test_jackson_multipliers_shape(self):
         g = jackson_multipliers(50)

@@ -16,6 +16,7 @@ from cscluster import (
     write_edge_list,
 )
 import cscluster.graph
+from cscluster.sbm import SbmConfig, sbm_generate
 from helpers import dense_normalized_laplacian, random_graph
 
 
@@ -151,7 +152,8 @@ class TestLaplacianOp:
         g = build_graph([(0, 1, 2.0), (1, 2, 0.5), (0, 2, 3.25), (2, 3, 1.0 / 3.0), (3, 4, 7.0)], num_nodes=7)
         op = laplacian_op(g)
         W = g.adjacency().toarray()
-        S = op.d_inv_sqrt
+        d = g.degrees
+        S = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
         reference = np.eye(op.num_nodes) - S[:, None] * W * S[None, :]
         assert op.dense().tobytes() == reference.tobytes()
 
@@ -351,6 +353,56 @@ class TestEdgeListIO:
         for name in ("indptr", "indices", "weights", "degrees"):
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+    def test_every_route_builds_one_graph(self, tmp_path):
+        # build_graph on triples and on sbm_generate's own pairs, and
+        # read_edge_list on the 3-column, 2-column and mixed-width writes,
+        # all reach the one constructor: the same bytes and dtypes
+        g, _ = sbm_generate(SbmConfig(num_nodes=300, k=3, avg_degree=8.0, epsilon=0.1, seed=5))
+        W = g.adjacency().tocoo()
+        upper = W.row < W.col
+        pairs = np.column_stack([W.row[upper], W.col[upper]])
+        self._assert_same_graph(build_graph(pairs, num_nodes=g.num_nodes), g)
+        triples = np.column_stack([pairs, W.data[upper]])
+        self._assert_same_graph(build_graph(triples.tolist(), num_nodes=g.num_nodes), g)
+        write_edge_list(g, tmp_path / "three.edges")
+        lines = (tmp_path / "three.edges").read_text().splitlines()
+        two = [line if line.startswith("#") else " ".join(line.split()[:2]) for line in lines]
+        mixed = [short if n % 2 else full for n, (short, full) in enumerate(zip(two, lines))]
+        (tmp_path / "two.edges").write_text("\n".join(two) + "\n")
+        (tmp_path / "mixed.edges").write_text("\n".join(mixed) + "\n")
+        for name in ("three", "two", "mixed"):
+            self._assert_same_graph(read_edge_list(tmp_path / f"{name}.edges"), g)
+
+    def test_both_directions_keep_no_spare_buffer(self, tmp_path):
+        # every edge listed both ways gives the graph of the one-way list,
+        # and its arrays hold no buffer sized for the doubled input
+        g = random_graph(60, 0.2, np.random.default_rng(6))
+        W = g.adjacency().tocoo()
+        one_way = tmp_path / "one.edges"
+        write_edge_list(g, one_way)
+        both = tmp_path / "both.edges"
+        both.write_text(f"# nodes {g.num_nodes}\n" + "".join(f"{i} {j} {w!r}\n" for i, j, w in zip(W.row, W.col, W.data.tolist())))
+        a, b = read_edge_list(one_way), read_edge_list(both)
+        self._assert_same_graph(b, a)
+        for x in (b.indices, b.weights):
+            assert x.base is None or x.base.nbytes == x.nbytes
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            # above 2^53: a float64 round trip would name ...992
+            ("# nodes 3\n0 9007199254740993\n", "node index 9007199254740993 out of range for num_nodes=3"),
+            ("0 1\n1 9223372036854775808\n", "big.edges:2: node id 9223372036854775808 does not fit in 64 bits"),
+            ("0 1 1.0\n-9223372036854775809 2 1.0\n", "big.edges:2: node id -9223372036854775809 does not fit"),
+        ],
+        ids=["above-2^53", "above-int64", "below-int64"],
+    )
+    def test_large_id_is_named(self, tmp_path, body, message):
+        path = tmp_path / "big.edges"
+        path.write_text(body)
+        with pytest.raises(GraphError, match=message):
+            read_edge_list(path)
 
     @pytest.mark.parametrize("columns", [2, 3])
     def test_line_ends_and_byte_order_mark_read_alike(self, tmp_path, columns):
