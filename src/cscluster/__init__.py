@@ -20,9 +20,8 @@ from .graph import (
     write_edge_list,
 )
 from .oracle import DenseCapError, EigenBasis, dense_eig, run_sc_baseline
-from .filters import PolyFilter, apply_filter, design_lowpass, jackson_multipliers
+from .filters import build_features, generate_signals, jackson_multipliers, lowpass_coefficients
 from .spectrum import LambdaKEstimate, chebyshev_moments, count_curve, estimate_lambda_k
-from .features import build_features, generate_signals
 from .kmeans import Labeling, kmeans
 from .sampling import assign, draw_sampling, interpolate_all
 from .result import ClusterResult, DegenerateClusteringError
@@ -35,9 +34,8 @@ __all__ = [
     "Graph", "GraphError", "LaplacianOp", "build_graph",
     "laplacian_op", "read_edge_list", "write_edge_list",
     "DenseCapError", "EigenBasis", "dense_eig", "run_sc_baseline",
-    "PolyFilter", "apply_filter", "design_lowpass", "jackson_multipliers",
+    "build_features", "generate_signals", "jackson_multipliers", "lowpass_coefficients",
     "LambdaKEstimate", "chebyshev_moments", "count_curve", "estimate_lambda_k",
-    "build_features", "generate_signals",
     "Labeling", "kmeans",
     "ClusterResult", "assign", "draw_sampling", "interpolate_all",
     "CscParams", "DegenerateClusteringError", "default_num_samples",

@@ -3,10 +3,11 @@
 Exit codes: 0 success, 2 usage error, 3 numerical failure (the dense
 eigendecomposition's size cap, an empty cluster in the reduced k-means, a
 node with a zero row in SC's leading eigenvectors, an arithmetic error, or a
-failed allocation, such as the one for the node count that a huge id in a
-headerless edge list implies), 4 I/O error. Failures print a
-machine-readable JSON object to stderr. The CSC_LOG environment variable
-sets the log level.
+failed allocation, such as the one for a ``# nodes N`` header that asks for
+more than memory), 4 I/O error (among them a headerless edge list whose
+largest id implies more than max(2 x edge lines, 2^16) nodes). Failures
+print a machine-readable JSON object to stderr. The CSC_LOG environment
+variable sets the log level.
 """
 
 from __future__ import annotations

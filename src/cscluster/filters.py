@@ -1,8 +1,9 @@
 """Polynomial approximation of the ideal spectral low-pass filter on [0, 2].
 
-A filter is a truncated Chebyshev series under the affine map y = lambda - 1
-(the normalized Laplacian guarantees the spectrum sits in [0, 2], so no
-adaptive range estimation is needed). For the ideal low-pass step
+A filter is one row of Chebyshev coefficients c_0..c_p in the basis
+T_l(lambda - 1) (the normalized Laplacian guarantees the spectrum sits in
+[0, 2], so no adaptive range estimation is needed). ``lowpass_coefficients``
+makes every row the package uses: for the ideal low-pass step
 1_{lambda <= lambda_c} the coefficients have a closed form: with
 theta_c = arccos(lambda_c - 1),
 
@@ -10,26 +11,27 @@ theta_c = arccos(lambda_c - 1),
     a_l = -2 sin(l * theta_c) / (pi * l),     l >= 1,
 
 damped by Jackson multipliers to suppress the Gibbs oscillations around the
-cut-off. Applying a filter to graph signals uses the three-term
+cut-off. The scalar response of a row c at frequencies lam is numpy's
+``chebval(lam - 1, c)``.
+
+``build_features`` applies a row to graph signals through the three-term
 recurrence T_{l+1}(y) = 2 y T_l(y) - T_{l-1}(y) with y = L - I = -S, where
 S = D^{-1/2} W D^{-1/2} is the prescaled adjacency the Laplacian operator
 stores, i.e. only sparse matrix products: the dense filter operator is never
 materialized. Each step costs one ``LaplacianOp.apply`` and runs in place on
 the fresh array it returns. ``chebyshev_terms`` is that recurrence, the only
-one in the package: ``apply_filter`` and the eigenvalue-count moments of
+one in the package: ``build_features`` and the eigenvalue-count moments of
 ``spectrum`` both consume it. The recurrence runs in the signals' dtype:
 float32 signals stay float32 through every term and through the
-accumulation of ``apply_filter``, any other signal runs in float64. The
-scalar response ``PolyFilter.evaluate`` is numpy's ``chebval``.
+accumulation, any other signal runs in float64. ``generate_signals`` draws
+the Gaussian signals that the filter and the probe both read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
 
 from .graph import LaplacianOp, signal_array
 
@@ -37,22 +39,10 @@ from .graph import LaplacianOp, signal_array
 DEFAULT_FILTER_ORDER = 50
 
 
-@dataclass
-class PolyFilter:
-    """Chebyshev coefficient vector of a filter. Immutable by use."""
-
-    coeffs: np.ndarray  # length order + 1, basis T_l(lambda - 1)
-
-    def evaluate(self, lam: np.ndarray | float) -> np.ndarray | float:
-        """Filter response at scalar or array frequencies in [0, 2]."""
-        out = chebval(np.asarray(lam, dtype=np.float64) - 1.0, self.coeffs)
-        if np.isscalar(lam):
-            return float(out)
-        return out
-
-
 def jackson_multipliers(order: int) -> np.ndarray:
-    """Jackson kernel damping factors g_0..g_p for a series of the given order."""
+    """Jackson kernel damping factors g_0..g_p for a series of the given order.
+    Every one is positive, so dividing a damped row by them gives the
+    undamped series."""
     q = order + 2
     l = np.arange(order + 1)
     ang = np.pi * l / q
@@ -78,28 +68,39 @@ def lowpass_coefficients(cutoffs: np.ndarray | float, order: int) -> np.ndarray:
     return coeffs
 
 
-def design_lowpass(cutoff: float, order: int) -> PolyFilter:
-    """Jackson-damped polynomial approximation of the ideal low-pass step at
-    ``cutoff``: the one-row case of ``lowpass_coefficients``. Every
-    multiplier is positive, so dividing the coefficients by
-    ``jackson_multipliers(order)`` gives the undamped series."""
-    return PolyFilter(coeffs=lowpass_coefficients(cutoff, order)[0])
+def generate_signals(
+    num_nodes: int,
+    num_signals: int,
+    seed: int | np.random.Generator = 0,
+) -> np.ndarray:
+    """Draw the N x d random signal matrix R of i.i.d. Gaussian entries
+    N(0, 1/d), so that E||column||^2 = N/d; reproducible for a given seed."""
+    if num_signals < 1:
+        raise ValueError("num_signals must be >= 1")
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((num_nodes, num_signals)) / np.sqrt(num_signals)
 
 
-def apply_filter(filt: PolyFilter, op: LaplacianOp, x: np.ndarray) -> np.ndarray:
-    """Filter one signal or d columns of signals: h(L) x via the Chebyshev
-    recurrence, cost O(order * #E * d), in float32 for float32 signals and in
-    float64 for any other."""
+def build_features(op: LaplacianOp, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """h(L) x for the Chebyshev row ``coeffs`` of h, on one signal or an
+    N x d block, as float64: cost O(order * #E * d).
+
+    The recurrence and the sum run in the signals' dtype (float32 signals
+    take the faster float32 recurrence); the result is made float64 once.
+    The Jackson-damped low-pass is positive on [0, 2], so its h(L) is
+    positive definite and a zero row of h(L) R has probability 0.
+    """
     x = signal_array(x)
     if x.shape[0] != op.num_nodes:
         raise ValueError(f"signal has {x.shape[0]} rows, graph has {op.num_nodes} nodes")
     # a float64 coefficient would promote a float32 term to float64 (NEP 50)
-    c = filt.coeffs.astype(x.dtype, copy=False)
+    c = np.asarray(coeffs, dtype=x.dtype)
     terms = chebyshev_terms(op, x, c.size - 1)
     out = c[0] * next(terms)
     for l, t in enumerate(terms, start=1):
         out += c[l] * t
-    return out
+        del t  # no term outlives the sum: the float64 cast allocates next
+    return out.astype(np.float64, copy=False)
 
 
 def chebyshev_terms(op: LaplacianOp, x: np.ndarray, order: int) -> Iterator[np.ndarray]:

@@ -106,16 +106,26 @@ def build_graph(
     Duplicate entries with the same direction are summed first; when both
     directions of an edge then carry different weights, the larger one wins.
     Missing weights default to 1.0. Self-loops (i == j) are rejected.
+
+    Signed-integer input (an int64 array, or Python rows of ints only) keeps
+    its ids exact. Any other input is read as float64, whose ids must be
+    finite integers below 2^53 in magnitude: beyond that a float no longer
+    holds every integer, so the id may already have been rounded.
     """
-    arr = np.atleast_2d(np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.float64))
+    arr = np.atleast_2d(np.asarray(edges if isinstance(edges, np.ndarray) else list(edges)))
     if arr.size == 0:
         arr = arr.reshape(0, 3)
-    if arr.shape[1] not in (2, 3):
+    if arr.ndim != 2 or arr.shape[1] not in (2, 3):
         raise GraphError(f"edges must be (i, j) or (i, j, w) rows, got shape {arr.shape}")
+    w = arr[:, 2].astype(np.float64, copy=False) if arr.shape[1] == 3 else np.ones(arr.shape[0])
     ids = arr[:, :2]
-    if not np.all(ids == np.floor(ids)):
-        raise GraphError("node indices must be integers")
-    w = arr[:, 2] if arr.shape[1] == 3 else np.ones(arr.shape[0])
+    if ids.dtype.kind != "i":
+        ids = ids.astype(np.float64)
+        inexact = ~(np.abs(ids) < 2.0**53)  # NaN compares false
+        if inexact.any():
+            raise GraphError(f"node id {ids[inexact][0]} is not a finite float below 2^53 in magnitude")
+        if not np.all(ids == np.floor(ids)):
+            raise GraphError("node indices must be integers")
     return _from_edges(ids[:, 0].astype(np.int64), ids[:, 1].astype(np.int64), w, num_nodes)
 
 
@@ -201,7 +211,10 @@ def read_edge_list(path: str | Path) -> Graph:
     0-based indices, missing weight = 1.0, blank lines skipped, and ``#``
     starts a comment anywhere on a line. A ``# nodes <N>`` comment line (as
     written by ``write_edge_list``) pins the node count so trailing isolated
-    nodes survive a round trip; without one, the largest index gives it. A
+    nodes survive a round trip; without one, the largest index gives it, and
+    a largest index whose node count exceeds max(2 x edge lines, 2^16) is
+    refused before anything is sized by it: one stray id would otherwise
+    make the graph allocate gigabytes. A
     leading UTF-8 byte order mark is ignored, and LF, CRLF and lone-CR line
     ends read alike. A file that is not UTF-8 raises ``GraphError`` naming
     the line of the first bad byte. Node ids stay int64 from the text to the
@@ -251,6 +264,13 @@ def read_edge_list(path: str | Path) -> Graph:
         break
     else:
         rows = _parse_lines(path, text)
+    if num_nodes is None and rows.size:
+        top = int(max(rows["src"].max(), rows["dst"].max()))
+        if top + 1 > max(2 * rows.size, 2**16):
+            raise GraphError(
+                f"{path}: node id {top} implies {top + 1} nodes for {rows.size} edge line(s); "
+                "a '# nodes N' header line keeps such a file readable"
+            )
     w = rows["weight"] if "weight" in rows.dtype.names else np.ones(rows.size)
     return _from_edges(rows["src"], rows["dst"], w, num_nodes)
 

@@ -8,8 +8,9 @@ reads or on a given basis. Without a basis, both are meant for graphs small
 enough to densify. The baseline returns the k-means labels and its
 diagnostics, as ``run_csc`` does. The paper's error terms (the filter's sup
 errors e1, e2 on the spectrum, the coherences of U_k) are one line each from
-an ``EigenBasis`` (U_k is ``eigenvectors[:, :k]``) and
-``PolyFilter.evaluate``, so the package keeps no helper for them.
+an ``EigenBasis`` (U_k is ``eigenvectors[:, :k]``) and numpy's
+``chebval(eigenvalues - 1, c)`` of a ``filters.lowpass_coefficients`` row c,
+so the package keeps no helper for them.
 """
 
 from __future__ import annotations

@@ -7,8 +7,11 @@ the same filtered block carries both the features and the least-squares lift
 of the labels. All randomness derives from one master seed through named
 per-stage substreams, so runs are reproducible stage by stage. The stages
 hand each other plain arrays: the filtered block F, the sampled node
-indices, the n x k one-hot reduced indicators. Only the n sampled rows of F
-are normalized, since k-means reads no other. The N x k lifted indicators
+indices, the n x k one-hot reduced indicators. Each row of F = h(L) R is a
+node's d-dimensional feature vector; divided by their norms, which stand in
+for the unknown local coherences, these rows have pairwise distances that
+approximate the spectral-clustering feature distances. Only the n sampled
+rows of F are normalized, since k-means reads no other. The N x k lifted indicators
 live only until their argmax: the result carries the labels and the
 diagnostics. The exact baseline that ``run_csc`` is compared with is
 ``oracle.run_sc_baseline``.
@@ -24,11 +27,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._rng import substream, substream_seed
-from .filters import DEFAULT_FILTER_ORDER, design_lowpass
+from .filters import DEFAULT_FILTER_ORDER, build_features, generate_signals, lowpass_coefficients
 from .graph import LaplacianOp
 from .kmeans import kmeans
 from .result import ClusterResult, DegenerateClusteringError
-from .features import build_features, generate_signals
 from .sampling import assign, draw_sampling, interpolate_all
 from .spectrum import estimate_lambda_k
 
@@ -105,6 +107,8 @@ def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
     prm = params.resolve(N - isolated.size)
     if isolated.size:
         logger.warning("graph has %d isolated node(s); they are excluded from sampling", isolated.size)
+    if prm.d == 1:
+        logger.warning("single random signal: rank-1 embedding, distances are degenerate")
     timings: dict[str, float] = {}
     t_run = time.perf_counter()
 
@@ -120,7 +124,7 @@ def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
     # 2. F = h(L) R: the filter runs in float32 on the drawn signals, F is float64
     t0 = time.perf_counter()
     signals = generate_signals(N, prm.d, seed=substream(prm.seed, "signals"))
-    filtered = build_features(op, design_lowpass(lam, prm.p), signals.astype(np.float32))
+    filtered = build_features(op, lowpass_coefficients(lam, prm.p)[0], signals.astype(np.float32))
     timings["filter"] = time.perf_counter() - t0
 
     # 3. sampling: an isolated node filters to h(1) r_i, which row

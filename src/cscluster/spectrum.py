@@ -35,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import generate_signals
-from .filters import DEFAULT_FILTER_ORDER, chebyshev_terms, lowpass_coefficients
+from .filters import DEFAULT_FILTER_ORDER, chebyshev_terms, generate_signals, lowpass_coefficients
 from .graph import LaplacianOp
 
 logger = logging.getLogger(__name__)

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
-from cscluster import Graph, Labeling, build_graph
+from cscluster import Graph, Labeling, build_graph, lowpass_coefficients
 from cscluster.kmeans import MAX_ITERS, REPLICATES, TOL
 
 
@@ -18,6 +19,12 @@ def cliques_graph(k: int, size: int) -> tuple[Graph, np.ndarray]:
                 edges.append((base + i, base + j, 1.0))
     truth = np.repeat(np.arange(k), size)
     return build_graph(edges, num_nodes=k * size), truth
+
+
+def lowpass_response(cutoff: float, order: int, lam):
+    """The damped low-pass at ``cutoff`` at frequencies ``lam`` in [0, 2]:
+    numpy's Chebyshev series of its coefficient row at lam - 1."""
+    return chebval(np.asarray(lam, dtype=np.float64) - 1.0, lowpass_coefficients(cutoff, order)[0])
 
 
 def dense_normalized_laplacian(graph: Graph) -> np.ndarray:

@@ -164,13 +164,25 @@ def test_nan_weight_is_io_error(tmp_path, capsys):
 
 
 def test_id_beyond_memory_is_numeric_failure(tmp_path, capsys):
-    # without a header the id gives the node count, and the CSR row
-    # pointer of 9007199254740994 nodes (64 PiB) cannot be allocated
+    # the header asks for 9007199254740994 nodes, and their CSR row pointer
+    # (64 PiB) cannot be allocated
     edges = tmp_path / "huge.edges"
-    edges.write_text("0 1\n1 9007199254740993\n")
+    edges.write_text("# nodes 9007199254740994\n0 1\n")
     argv = ["cluster", "--input", str(edges), "--output", str(tmp_path / "o.csv"), "--k", "2"]
     assert main(argv) == EXIT_NUMERIC
     assert "allocate" in _error(capsys, EXIT_NUMERIC)
+
+
+def test_headerless_huge_id_is_io_error(tmp_path, capsys):
+    # without a header the same id is refused before anything is sized by it
+    edges = tmp_path / "huge.edges"
+    edges.write_text("0 1\n1 9007199254740993\n")
+    argv = ["cluster", "--input", str(edges), "--output", str(tmp_path / "o.csv"), "--k", "2"]
+    assert main(argv) == EXIT_IO
+    assert _error(capsys, EXIT_IO) == (
+        f"{edges}: node id 9007199254740993 implies 9007199254740994 nodes for 2 edge line(s); "
+        "a '# nodes N' header line keeps such a file readable"
+    )
 
 
 def test_id_beyond_int64_is_io_error(tmp_path, capsys):

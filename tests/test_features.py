@@ -5,12 +5,14 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from cscluster import (
-    apply_filter,
+    CscParams,
     build_features,
-    design_lowpass,
     generate_signals,
     laplacian_op,
+    lowpass_coefficients,
+    run_csc,
 )
+from cscluster.filters import chebyshev_terms
 from cscluster.pipeline import default_num_samples, default_num_signals
 from helpers import cliques_graph
 
@@ -49,8 +51,8 @@ class TestBuildFeatures:
         g, truth = cliques_graph(3, 10)
         op = laplacian_op(g)
         # K10 components: next eigenvalue 10/9, far above the 0.5 cut-off
-        filt = design_lowpass(0.5, 200)
-        rows = _unit_rows(build_features(op, filt, generate_signals(30, 8, 0)))
+        lowpass = lowpass_coefficients(0.5, 200)[0]
+        rows = _unit_rows(build_features(op, lowpass, generate_signals(30, 8, 0)))
         for c in range(3):
             block = rows[truth == c]
             assert np.abs(block - block[0]).max() < 1e-4
@@ -78,12 +80,12 @@ class TestBuildFeatures:
 
     def test_rotation_invariance_of_distances(self, sbm500):
         op = sbm500["op"]
-        filt = design_lowpass(0.45, 50)
+        c = lowpass_coefficients(0.45, 50)[0]
         R = generate_signals(op.num_nodes, 12, 3)
         rng = np.random.default_rng(0)
         Q = np.linalg.qr(rng.standard_normal((12, 12)))[0]
-        rows1 = _unit_rows(build_features(op, filt, R))
-        rows2 = _unit_rows(build_features(op, filt, R @ Q))
+        rows1 = _unit_rows(build_features(op, c, R))
+        rows2 = _unit_rows(build_features(op, c, R @ Q))
         idx = rng.choice(op.num_nodes, size=(50, 2))
         for i, j in idx:
             d1 = np.linalg.norm(rows1[i] - rows1[j])
@@ -92,18 +94,30 @@ class TestBuildFeatures:
 
     def test_filtered_block_kept_unnormalized(self, sbm500):
         # the lift needs F = h(L) R itself, as float64 whatever the dtype the
-        # filter ran in
+        # filter ran in: the series summed in the signals' dtype, cast once
         op = sbm500["op"]
-        filt = design_lowpass(0.45, 30)
+        c = lowpass_coefficients(0.45, 30)[0]
         sig = generate_signals(op.num_nodes, 6, 5)
         for signals in (sig, sig.astype(np.float32)):
-            F = build_features(op, filt, signals)
+            F = build_features(op, c, signals)
             assert F.dtype == np.float64
-            assert np.array_equal(F, apply_filter(filt, op, signals).astype(np.float64))
+            terms = chebyshev_terms(op, signals, c.size - 1)
+            series = c.astype(signals.dtype)
+            expect = series[0] * next(terms)
+            for l, t in enumerate(terms, start=1):
+                expect += series[l] * t
+            assert np.array_equal(F, expect.astype(np.float64))
 
-    def test_single_signal_warns(self, k3_graph, caplog):
-        op = laplacian_op(k3_graph)
-        filt = design_lowpass(1.0, 10)
+    def test_single_signal_warns(self, caplog):
+        # the pipeline resolves d, so it warns of a rank-1 embedding. With
+        # one signal the unit rows are +-1; at seed 1 the two 6-cliques get
+        # opposite signs, so the run completes (at seed 0 k-means empties a
+        # cluster)
+        g, _ = cliques_graph(2, 6)
         with caplog.at_level("WARNING"):
-            build_features(op, filt, generate_signals(3, 1, 0))
+            run_csc(laplacian_op(g), CscParams(k=2, d=1, seed=1))
         assert any("rank-1" in rec.message for rec in caplog.records)
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            run_csc(laplacian_op(g), CscParams(k=2, d=2, seed=1))
+        assert not any("rank-1" in rec.message for rec in caplog.records)

@@ -59,6 +59,21 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="self-loop on node 1"):
             build_graph([(1, 1, 1.0), (0, 1, 1.0)])
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            # int64 ids reach the graph exactly: no float64 round trip to ...992
+            (np.array([[0, 2**53 + 1]], dtype=np.int64), "node index 9007199254740993 out of range for num_nodes=3"),
+            ([(0, 1e19, 1.0)], "node id 1e\\+19 is not a finite float below 2\\^53"),
+            ([(0, 1.0, 1.0), (np.inf, 1.0, 1.0)], "node id inf is not a finite float"),
+            ([(0, 2**53 + 1, 1.0)], "node id 9007199254740992.0 is not a finite float"),
+        ],
+        ids=["int64-above-2^53", "float-1e19", "float-inf", "float-above-2^53"],
+    )
+    def test_ids_beyond_float_precision_named(self, edges, message):
+        with pytest.raises(GraphError, match=message):
+            build_graph(edges, num_nodes=3)
+
     def test_symmetrization_idempotent(self):
         rng = np.random.default_rng(3)
         g = random_graph(40, 0.15, rng)
@@ -403,6 +418,37 @@ class TestEdgeListIO:
         path.write_text(body)
         with pytest.raises(GraphError, match=message):
             read_edge_list(path)
+
+    def test_headerless_huge_id_refused_before_sizing(self, tmp_path, monkeypatch):
+        # without a header, an id whose node count exceeds max(2 x edge
+        # lines, 2^16) is refused before the graph is sized by it: 4e9 would
+        # ask for about 30 GiB of row pointers
+        path = tmp_path / "big.edges"
+        path.write_text("0 4000000000\n")
+
+        def refuse(*args):
+            raise AssertionError("graph sized from a stray id")
+
+        monkeypatch.setattr(cscluster.graph, "_from_edges", refuse)
+        with pytest.raises(GraphError, match=r"big.edges: node id 4000000000 implies .* '# nodes N' header"):
+            read_edge_list(path)
+        monkeypatch.undo()
+        # the bound itself: 2^16 nodes for one line pass, one more is refused
+        path.write_text("0 65535\n")
+        assert read_edge_list(path).num_nodes == 2**16
+        path.write_text("0 65536\n")
+        with pytest.raises(GraphError, match="node id 65536 implies 65537 nodes for 1 edge line"):
+            read_edge_list(path)
+        # and 2 x edge lines above 2^16, on the per-line pass too
+        lines = [f"{i} {i + 1}" for i in range(40_000)]
+        path.write_text("\n".join(lines[:-1] + ["39999 79999"]) + "\n")
+        assert read_edge_list(path).num_nodes == 80_000
+        path.write_text("\n".join(lines[:-1] + ["39999 80000 1.0"]) + "\n")
+        with pytest.raises(GraphError, match="node id 80000 implies 80001 nodes for 40000 edge line"):
+            read_edge_list(path)
+        # a header keeps such a file readable
+        path.write_text("# nodes 80001\n" + "\n".join(lines[:-1] + ["39999 80000 1.0"]) + "\n")
+        assert read_edge_list(path).num_nodes == 80_001
 
     @pytest.mark.parametrize("columns", [2, 3])
     def test_line_ends_and_byte_order_mark_read_alike(self, tmp_path, columns):

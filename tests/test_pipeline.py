@@ -12,7 +12,6 @@ from cscluster import (
     adjusted_rand_index,
     build_graph,
     critical_epsilon,
-    design_lowpass,
     laplacian_op,
     run_csc,
     run_sc_baseline,
@@ -21,7 +20,7 @@ from cscluster import (
 from cscluster.kmeans import Labeling
 from cscluster.pipeline import default_num_samples, default_num_signals
 from cscluster.spectrum import default_probe_signals
-from helpers import cliques_graph
+from helpers import cliques_graph, lowpass_response
 
 
 class TestDefaults:
@@ -215,7 +214,7 @@ class TestRunCsc:
         # whatever the estimate, the low-pass must stop the 12/11 cluster
         g, _ = cliques_graph(1, 12)
         d = run_csc(laplacian_op(g), CscParams(k=2, seed=3)).diagnostics
-        assert design_lowpass(d["lambda_k_hat"], 50).evaluate(12 / 11) <= 0.1
+        assert lowpass_response(d["lambda_k_hat"], 50, 12 / 11) <= 0.1
 
     def test_zero_degree_nodes_interpolated(self):
         # isolated node: excluded from sampling, still labeled

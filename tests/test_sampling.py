@@ -13,11 +13,11 @@ from cscluster import (
     build_features,
     critical_epsilon,
     dense_eig,
-    design_lowpass,
     draw_sampling,
     generate_signals,
     interpolate_all,
     laplacian_op,
+    lowpass_coefficients,
     sbm_generate,
 )
 from helpers import cliques_graph
@@ -68,7 +68,7 @@ class TestDrawSampling:
 
 
 def _features(op, cutoff, order=40, d=20, seed=0):
-    return build_features(op, design_lowpass(cutoff, order), generate_signals(op.num_nodes, d, seed))
+    return build_features(op, lowpass_coefficients(cutoff, order)[0], generate_signals(op.num_nodes, d, seed))
 
 
 class TestInterpolate:
@@ -142,7 +142,7 @@ class TestInterpolate:
         assert (prm.n, prm.d) == (7, 13)
         w = dense_eig(op).eigenvalues
         signals = generate_signals(op.num_nodes, prm.d, seed=2).astype(np.float32)
-        F = build_features(op, design_lowpass(0.5 * (w[k - 1] + w[k]), prm.p), signals)
+        F = build_features(op, lowpass_coefficients(0.5 * (w[k - 1] + w[k]), prm.p)[0], signals)
         sampled = draw_sampling(op.num_nodes, prm.n, 3)
         reduced = np.zeros((prm.n, k))
         reduced[np.arange(prm.n), truth[sampled]] = 1.0
