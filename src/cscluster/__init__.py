@@ -5,9 +5,9 @@ low-pass filtering of a few random signals yields per-node feature vectors,
 k-means runs on the unit-normalized feature vectors of a small uniform
 subsample of the nodes (isolated nodes are left out), and the resulting
 cluster indicators are lifted back to the full graph by least squares in the
-span of the filtered signals. An exact dense oracle, an SBM benchmark
-generator and evaluation metrics are included for verification at desk
-scale.
+span of the filtered signals. An exact spectral clustering baseline (ARPACK
+on connected graphs, dense LAPACK on small or split ones), an SBM benchmark
+generator and evaluation metrics are included for verification.
 """
 
 from .graph import (

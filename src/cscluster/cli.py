@@ -1,13 +1,14 @@
 """Command-line interface: graph generation, clustering, and benchmark sweeps.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure (the dense
-eigendecomposition's size cap, an empty cluster in the reduced k-means, a
-node with a zero row in SC's leading eigenvectors, an arithmetic error, or a
-failed allocation, such as the one for a ``# nodes N`` header that asks for
-more than memory), 4 I/O error (among them a headerless edge list whose
-largest id implies more than max(2 x edge lines, 2^16) nodes). Failures
-print a machine-readable JSON object to stderr. The CSC_LOG environment
-variable sets the log level.
+eigendecomposition's size cap, which SC meets above 5000 nodes only on a
+graph of more than one connected component, an ARPACK failure, an empty
+cluster in the reduced k-means, a node with a zero row in SC's leading
+eigenvectors, an arithmetic error, or a failed allocation, such as the one
+for a ``# nodes N`` header that asks for more than memory), 4 I/O error
+(among them a headerless edge list whose largest id implies more than
+max(2 x edge lines, 2^16) nodes). Failures print a machine-readable JSON
+object to stderr. The CSC_LOG environment variable sets the log level.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse.linalg import ArpackError
 
 from . import __version__
 from .filters import DEFAULT_FILTER_ORDER
@@ -97,8 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Reads a whitespace edge list (src dst [weight], '#' comments) and writes the "
             "labels plus run diagnostics. Method csc uses " + _DEFAULTS_NOTE + "; method sc "
-            "is the exact baseline on the k + 1 leading eigenpairs of the dense Laplacian "
-            f"from LAPACK, refused above {DEFAULT_DENSE_CAP} nodes."
+            "is the exact baseline on the k + 1 leading eigenpairs of the Laplacian: from "
+            "ARPACK on a connected graph of more than max(2k + 3, 20) nodes, and otherwise "
+            f"from LAPACK on the dense Laplacian, refused above {DEFAULT_DENSE_CAP} nodes."
         ),
     )
     clu.add_argument("--input", type=str, required=True, help="edge-list path")
@@ -213,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(exc), exc.exit_code)
     except (GraphError, FileNotFoundError, PermissionError, IsADirectoryError, json.JSONDecodeError) as exc:
         return _fail(str(exc), EXIT_IO)
-    except (DenseCapError, DegenerateClusteringError, ArithmeticError, MemoryError) as exc:
+    except (DenseCapError, ArpackError, DegenerateClusteringError, ArithmeticError, MemoryError) as exc:
         return _fail(str(exc), EXIT_NUMERIC)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)

@@ -1,16 +1,19 @@
-"""Exact small-scale spectral machinery: the correctness oracle for everything else.
+"""Exact spectral machinery: the correctness oracle for everything else.
 
 ``dense_eig`` returns the leading eigenpairs of the normalized Laplacian
-(all of them by default) from LAPACK (``scipy.linalg.eigh``);
-``run_sc_baseline`` is the standard k-way spectral clustering baseline (first
-k eigenvectors, row normalization, k-means), on the k + 1 leading pairs it
-reads or on a given basis. Without a basis, both are meant for graphs small
-enough to densify. The baseline returns the k-means labels and its
-diagnostics, as ``run_csc`` does. The paper's error terms (the filter's sup
-errors e1, e2 on the spectrum, the coherences of U_k) are one line each from
-an ``EigenBasis`` (U_k is ``eigenvectors[:, :k]``) and numpy's
-``chebval(eigenvalues - 1, c)`` of a ``filters.lowpass_coefficients`` row c,
-so the package keeps no helper for them.
+(all of them by default): from ARPACK on the sparse S when fewer than N
+pairs of a connected graph are asked for and the graph is larger than
+ARPACK's Krylov space, and from LAPACK (``scipy.linalg.eigh``) otherwise,
+where the graph must be small enough to densify. ``run_sc_baseline`` is the
+standard k-way spectral clustering baseline (first k eigenvectors, row
+normalization, k-means), on the k + 1 leading pairs it reads or on a given
+basis; on a connected graph it runs at any N. The baseline returns the
+k-means labels and its diagnostics, as ``run_csc`` does. The paper's error
+terms (the filter's sup errors e1, e2 on the spectrum, the coherences of
+U_k) are one line each from an ``EigenBasis`` (U_k is
+``eigenvectors[:, :k]``) and numpy's ``chebval(eigenvalues - 1, c)`` of a
+``filters.lowpass_coefficients`` row c, so the package keeps no helper for
+them.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from ._rng import substream_seed
 from .graph import LaplacianOp
@@ -29,40 +33,67 @@ from .result import ClusterResult, DegenerateClusteringError
 
 logger = logging.getLogger(__name__)
 
+# the largest N whose L is densified: it bounds full spectra and the LAPACK
+# fallback for split or small graphs, not SC on a connected graph
 DEFAULT_DENSE_CAP = 5000
 _TIE_TOL = 1e-10
 
 
 class DenseCapError(ValueError):
-    """Graph too large for the dense oracle path."""
+    """Graph too large for the dense (LAPACK) path, which full spectra and
+    graphs of more than one connected component take."""
 
 
 @dataclass
 class EigenBasis:
     """Leading eigenpairs of a normalized Laplacian: ascending eigenvalues in
-    [0, 2] and the orthonormal eigenvectors (one per column, N rows)."""
+    [0, 2] and the orthonormal eigenvectors (one per column, N rows).
+    ``solver`` names the eigensolver that ``dense_eig`` used, "arpack" or
+    "lapack"; it is None for a basis computed elsewhere."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    solver: str | None = None
 
 
 def dense_eig(op: LaplacianOp, count: int | None = None) -> EigenBasis:
-    """The ``count`` leading eigenpairs of L by LAPACK (all N by default;
-    dense path, N <= DEFAULT_DENSE_CAP).
+    """The ``count`` leading eigenpairs of L (all N by default).
 
-    Raises DenseCapError above the cap, before L is made dense: use the
-    compressive pipeline there, that is the whole point of it. A ``count``
-    outside [1, N] raises ValueError.
+    ARPACK (``eigsh`` on the ``count`` largest algebraic eigenvalues mu of
+    the sparse S, from a fixed start vector, so the call is deterministic;
+    lambda = 1 - mu) runs when ``count`` < N, N exceeds ARPACK's Krylov size
+    max(2 count + 1, 20) and the graph is connected. A Krylov method can miss copies of a repeated
+    eigenvalue, and a graph of c components has c zero eigenvalues, so a
+    split graph, a full spectrum and a graph too small for the Krylov space
+    go to LAPACK on the dense L. That path raises DenseCapError above
+    DEFAULT_DENSE_CAP nodes, before L is made dense: use the compressive
+    pipeline there. An ARPACK failure raises ``ArpackError`` (or its
+    subclass ``ArpackNoConvergence``). A ``count`` outside [1, N] raises
+    ValueError.
+
+    The name predates the ARPACK path; it is kept because the benchmark
+    traces SC's eigensolver under ``oracle.dense_eig``.
     """
     n = op.num_nodes
-    if n > DEFAULT_DENSE_CAP:
-        raise DenseCapError(
-            f"dense eigendecomposition refused for N={n} > cap={DEFAULT_DENSE_CAP}; "
-            "use the polynomial-filtering pipeline (run_csc) for graphs this size"
-        )
     count = n if count is None else count
     if not 1 <= count <= n:
         raise ValueError(f"count={count} eigenpairs out of range [1, {n}]")
+    # imported here: scipy.sparse.csgraph adds about 1 MB of resident memory
+    # to a process, and the compressive pipeline never needs it
+    from scipy.sparse.csgraph import connected_components
+
+    components = connected_components(op.graph.adjacency(), directed=False, return_labels=False)
+    if components == 1 and count < n and n > max(2 * count + 1, 20):
+        v0 = np.random.default_rng(0).standard_normal(n)
+        mu, vecs = scipy.sparse.linalg.eigsh(op.s, k=count, which="LA", v0=v0)
+        order = np.argsort(-mu)
+        return EigenBasis(eigenvalues=1.0 - mu[order], eigenvectors=vecs[:, order], solver="arpack")
+    if n > DEFAULT_DENSE_CAP:
+        raise DenseCapError(
+            f"dense eigendecomposition refused for N={n} > cap={DEFAULT_DENSE_CAP}: {count} eigenpairs of a graph "
+            f"of {components} connected components (ARPACK needs one component and fewer than N pairs); "
+            "use the polynomial-filtering pipeline (run_csc) for graphs this size"
+        )
     # MRRR (syevr) computes only the leading pairs asked for: the k + 1 that SC
     # reads take 0.05-0.06 s at N = 1000, k = 20 on 2 vCPUs, against 0.15 s
     # for all N pairs by divide and conquer (syevd). That holds only when no
@@ -74,7 +105,7 @@ def dense_eig(op: LaplacianOp, count: int | None = None) -> EigenBasis:
     w, V = scipy.linalg.eigh(
         op.dense(), overwrite_a=True, check_finite=False, driver="evr", subset_by_index=[0, count - 1]
     )
-    return EigenBasis(eigenvalues=w, eigenvectors=V)
+    return EigenBasis(eigenvalues=w, eigenvectors=V, solver="lapack")
 
 
 def run_sc_baseline(op: LaplacianOp, k: int, *, seed: int = 0, basis: EigenBasis | None = None) -> ClusterResult:
@@ -85,8 +116,10 @@ def run_sc_baseline(op: LaplacianOp, k: int, *, seed: int = 0, basis: EigenBasis
     ``seed`` as ``run_csc``'s. Nodes with (numerically) zero rows in U_k are
     the pathologic case where normalization is undefined; they raise
     DegenerateClusteringError. An isolated node has such a row once
-    lambda_k < 1. A precomputed ``basis`` skips the eigendecomposition; it
-    needs N rows and at least min(k + 1, N) leading pairs, or ValueError.
+    lambda_k < 1. The one ``dense_eig`` call picks the eigensolver, named in
+    the diagnostics' "eig_solver". A precomputed ``basis`` skips the
+    eigendecomposition ("eig_solver" is then its ``solver``); it needs N rows
+    and at least min(k + 1, N) leading pairs, or ValueError.
     """
     n = op.num_nodes
     if k < 2:
@@ -131,6 +164,7 @@ def run_sc_baseline(op: LaplacianOp, k: int, *, seed: int = 0, basis: EigenBasis
         "k": k,
         "lambda_k": float(w[k - 1]),
         "degenerate_eigenvalue_cut": degenerate_cut,
+        "eig_solver": basis.solver,
         "kmeans_inertia": labeling.inertia,
         "kmeans_iterations": labeling.iterations_run,
         "seed": kmeans_seed,

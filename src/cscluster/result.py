@@ -39,9 +39,11 @@ class ClusterResult:
 
     def to_json(self, *, indent: int | None = None) -> str:
         """Deterministic JSON; timings are excluded so equal seeds serialize
-        byte-identically at a fixed BLAS thread count (the SC baseline's
-        eigenvalues and k-means inertia differ between thread counts). Numpy
-        scalars and arrays serialize as their ``tolist()``."""
+        byte-identically. Only the SC baseline's LAPACK fallback (a split or
+        tiny graph, see ``oracle.dense_eig``) also needs a fixed BLAS thread
+        count: its eigenvalues and k-means inertia differ between thread
+        counts, while its ARPACK path does not. Numpy scalars and arrays
+        serialize as their ``tolist()``."""
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent, default=_tolist)
 
     def save_json(self, path: str | Path) -> None:

@@ -6,7 +6,10 @@ from __future__ import annotations
 import csv
 import json
 
+import numpy as np
 import pytest
+import scipy.sparse.linalg
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from cscluster import LaplacianOp
 from cscluster.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
@@ -97,18 +100,50 @@ def test_sbm_gen_zero_communities_is_usage_error(tmp_path, capsys):
 
 
 def test_dense_cap_is_numeric_failure(tmp_path, capsys, monkeypatch):
+    # above the cap SC runs on a connected graph, by ARPACK on the sparse S;
+    # one isolated node more splits the graph, and the LAPACK fallback then
+    # refuses it before the Laplacian is densified
     prefix = tmp_path / "big"
-    assert main(["sbm-gen", "--n", "5001", "--k", "3", "--s", "4", "--output", str(prefix)]) == EXIT_OK
+    assert main(["sbm-gen", "--n", "5001", "--k", "3", "--s", "16", "--output", str(prefix)]) == EXIT_OK
     capsys.readouterr()
 
     def densify(self):
-        raise AssertionError("the cap must refuse before the Laplacian is densified")
+        raise AssertionError("neither ARPACK nor the cap may densify the Laplacian")
 
     monkeypatch.setattr(LaplacianOp, "dense", densify)
-    argv = ["cluster", "--input", str(tmp_path / "big.edgelist"), "--output", str(tmp_path / "o.csv"),
-            "--method", "sc", "--k", "3"]
+    connected = tmp_path / "big.edgelist"
+    out = tmp_path / "o.json"
+    argv = ["cluster", "--input", str(connected), "--output", str(out), "--method", "sc", "--k", "3", "--format", "json"]
+    assert main(argv) == EXIT_OK
+    result = json.loads(out.read_text())
+    assert len(result["labels"]) == 5001
+    assert result["diagnostics"]["eig_solver"] == "arpack"
+
+    text = connected.read_text()
+    assert text.startswith("# nodes 5001\n")
+    split = tmp_path / "split.edgelist"
+    split.write_text("# nodes 5002\n" + text.split("\n", 1)[1])
+    argv = ["cluster", "--input", str(split), "--output", str(tmp_path / "o.csv"), "--method", "sc", "--k", "3"]
     assert main(argv) == EXIT_NUMERIC
-    assert "N=5001 > cap=5000" in _error(capsys, EXIT_NUMERIC)
+    assert "N=5002 > cap=5000: 4 eigenpairs of a graph of 2 connected components" in _error(capsys, EXIT_NUMERIC)
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "error",
+    [ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0), np.zeros((90, 0))), ArpackError(-9)],
+    ids=["no-convergence", "arpack-error"],
+)
+def test_arpack_failure_is_numeric_failure(tmp_path, sbm_files, capsys, monkeypatch, error):
+    edges, _ = sbm_files
+
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+    argv = ["cluster", "--input", str(edges), "--output", str(tmp_path / "o.csv"), "--method", "sc", "--k", "3"]
+    assert main(argv) == EXIT_NUMERIC
+    assert _error(capsys, EXIT_NUMERIC) == str(error)
     assert not (tmp_path / "o.csv").exists()
 
 

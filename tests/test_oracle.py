@@ -1,7 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
+import scipy.sparse.linalg
 
 import cscluster.oracle
 from cscluster import (
@@ -11,6 +18,7 @@ from cscluster import (
     SbmConfig,
     adjusted_rand_index,
     build_graph,
+    critical_epsilon,
     dense_eig,
     laplacian_op,
     run_sc_baseline,
@@ -44,6 +52,10 @@ class TestDenseEig:
         monkeypatch.setattr(LaplacianOp, "dense", densify)
         with pytest.raises(DenseCapError, match="N=5001 > cap=5000.*run_csc"):
             dense_eig(op)
+        # a few pairs of a split graph take LAPACK too, and the refusal names
+        # the components
+        with pytest.raises(DenseCapError, match="N=5001 > cap=5000: 3 eigenpairs of a graph of 5001 connected comp"):
+            dense_eig(op, 3)
 
     def test_rayleigh_residuals_and_orthonormality(self):
         rng = np.random.default_rng(21)
@@ -70,6 +82,87 @@ def sbm200():
     cfg = SbmConfig(num_nodes=200, k=4, avg_degree=16.0, epsilon=0.05, seed=3)
     op = laplacian_op(sbm_generate(cfg)[0])
     return op, dense_eig(op)
+
+
+def _union_of_sbms(seeds, num_nodes=300, k=2):
+    """Disjoint union of one cscluster.sbm graph per seed (no edge between them)."""
+    parts = []
+    for i, seed in enumerate(seeds):
+        cfg = SbmConfig(num_nodes=num_nodes, k=k, avg_degree=16.0, epsilon=critical_epsilon(16.0, k) / 4, seed=seed)
+        A = sbm_generate(cfg)[0].adjacency().tocoo()
+        parts.append(np.column_stack([A.row + i * num_nodes, A.col + i * num_nodes, A.data]))
+    return build_graph(np.vstack(parts), num_nodes=len(seeds) * num_nodes)
+
+
+def _refuse_arpack(*args, **kwargs):
+    raise AssertionError("ARPACK must not run on this input")
+
+
+class TestArpackPath:
+    @pytest.mark.parametrize("fixture", ["sbm200", "sbm500"])
+    def test_agrees_with_lapack(self, fixture, request):
+        if fixture == "sbm200":
+            (op, full), k = request.getfixturevalue("sbm200"), 4
+        else:
+            instance = request.getfixturevalue("sbm500")
+            op, full, k = instance["op"], instance["basis"], instance["k"]
+        assert full.solver == "lapack"
+        basis = dense_eig(op, k + 1)
+        assert basis.solver == "arpack"
+        assert np.abs(basis.eigenvalues - full.eigenvalues[: k + 1]).max() < 1e-10
+        overlap = np.linalg.svd(basis.eigenvectors.T @ full.eigenvectors[:, : k + 1], compute_uv=False)
+        assert overlap.min() >= 1 - 1e-8
+        result = run_sc_baseline(op, k, seed=0)
+        assert result.diagnostics["eig_solver"] == "arpack"
+        assert np.array_equal(result.labels, run_sc_baseline(op, k, seed=0, basis=full).labels)
+
+    def test_split_graph_takes_lapack(self, monkeypatch):
+        # ARPACK finds 2 of the 6 zero eigenvalues of this union (from the
+        # same start vector): the component count must route it to LAPACK
+        op = laplacian_op(_union_of_sbms(range(7, 13)))
+        assert scipy.sparse.csgraph.connected_components(op.graph.adjacency(), directed=False)[0] == 6
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _refuse_arpack)
+        basis = dense_eig(op, 7)
+        assert basis.solver == "lapack"
+        assert np.abs(basis.eigenvalues[:6]).max() < 1e-10
+        assert basis.eigenvalues[6] > 0.1
+        result = run_sc_baseline(op, 6, seed=0)
+        assert result.diagnostics["eig_solver"] == "lapack"
+        assert adjusted_rand_index(np.repeat(np.arange(6), 300), result.labels) == 1.0
+
+    @pytest.mark.parametrize(
+        "n, count, solver",
+        [(20, 3, "lapack"), (21, 3, "arpack"), (39, 19, "lapack"), (40, 19, "arpack"), (40, 40, "lapack")],
+    )
+    def test_krylov_size_boundary(self, n, count, solver, monkeypatch):
+        # ARPACK runs only for N > max(2 count + 1, 20) and count < N; a ring
+        # with chords keeps the graph connected
+        edges = [(i, (i + 1) % n, 1.0) for i in range(n)] + [(i, (i + 7) % n, 0.5) for i in range(n)]
+        op = laplacian_op(build_graph(edges))
+        if solver == "lapack":
+            monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _refuse_arpack)
+        basis = dense_eig(op, count)
+        assert basis.solver == solver
+        assert np.abs(basis.eigenvalues - np.linalg.eigvalsh(op.dense())[:count]).max() < 1e-10
+
+    def test_json_does_not_depend_on_blas_threads(self):
+        # numpy and scipy read OPENBLAS_NUM_THREADS at import, so each side
+        # is its own process; the default side runs with the machine's count
+        script = (
+            "import sys\n"
+            "from cscluster import SbmConfig, critical_epsilon, laplacian_op, run_sc_baseline, sbm_generate\n"
+            "cfg = SbmConfig(num_nodes=1000, k=20, avg_degree=16.0, epsilon=critical_epsilon(16.0, 20) / 4, seed=1)\n"
+            "sys.stdout.write(run_sc_baseline(laplacian_op(sbm_generate(cfg)[0]), 20, seed=0).to_json())\n"
+        )
+        src = str(Path(cscluster.oracle.__file__).resolve().parents[1])
+        env = {key: v for key, v in os.environ.items() if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs = [
+            subprocess.run([sys.executable, "-c", script], env=extra, capture_output=True, check=True, timeout=300).stdout
+            for extra in ({**env, "OPENBLAS_NUM_THREADS": "1"}, env)
+        ]
+        assert b'"eig_solver": "arpack"' in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class TestSpectralClustering:
@@ -153,7 +246,7 @@ class TestSpectralClustering:
 
     def test_given_basis_of_k_plus_one_pairs(self, sbm200):
         op, basis = sbm200
-        leading = EigenBasis(eigenvalues=basis.eigenvalues[:5], eigenvectors=basis.eigenvectors[:, :5])
+        leading = EigenBasis(eigenvalues=basis.eigenvalues[:5], eigenvectors=basis.eigenvectors[:, :5], solver=basis.solver)
         result = run_sc_baseline(op, 4, seed=0, basis=leading)
         assert result.to_json() == run_sc_baseline(op, 4, seed=0, basis=basis).to_json()
 
