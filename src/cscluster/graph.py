@@ -16,6 +16,7 @@ hand it their arrays.
 from __future__ import annotations
 
 import io
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -211,7 +212,9 @@ def read_edge_list(path: str | Path) -> Graph:
     0-based indices, missing weight = 1.0, blank lines skipped, and ``#``
     starts a comment anywhere on a line. A ``# nodes <N>`` comment line (as
     written by ``write_edge_list``) pins the node count so trailing isolated
-    nodes survive a round trip; without one, the largest index gives it, and
+    nodes survive a round trip; one whose N + 1 int64 row pointers alone
+    exceed physical memory raises ``MemoryError`` before anything is
+    allocated. Without one, the largest index gives the node count, and
     a largest index whose node count exceeds max(2 x edge lines, 2^16) is
     refused before anything is sized by it: one stray id would otherwise
     make the graph allocate gigabytes. A
@@ -250,6 +253,13 @@ def read_edge_list(path: str | Path) -> Graph:
             num_nodes = int(match[1])
         except ValueError:
             pass
+    physical = None if num_nodes is None else _physical_memory()
+    if physical is not None and 8 * (num_nodes + 1) > physical:
+        # under memory overcommit such a request can succeed and exhaust the host later
+        raise MemoryError(
+            f"{path}: '# nodes {num_nodes}' asks for {num_nodes + 1} int64 row pointers "
+            f"({8 * (num_nodes + 1)} bytes), more than the {physical} bytes of physical memory: not allocated"
+        )
     # loadtxt reads a regular file from its path; a pipe, read once already,
     # and a name loadtxt would decompress get a copy of the text instead
     reopen = path.is_file() and path.suffix not in _COMPRESSED_SUFFIXES
@@ -273,6 +283,15 @@ def read_edge_list(path: str | Path) -> Graph:
             )
     w = rows["weight"] if "weight" in rows.dtype.names else np.ones(rows.size)
     return _from_edges(rows["src"], rows["dst"], w, num_nodes)
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * size if pages > 0 and size > 0 else None
 
 
 def _parse_lines(path: Path, text: str) -> np.ndarray:

@@ -35,14 +35,60 @@ Each replicate draws from its own stream in the order of one seeding run on
 its own: ``rng.integers`` for the first centroid, then the draw of
 ``rng.choice(q, p=D^2 / sum D^2)`` for each next one (``rng.integers`` when
 every distance is 0). ``_draw`` makes these draws for all R replicates at
-once with choice's own algorithm, without its checks of p: one cumulative
-sum along the rows of the (R, q) distance buffer gives every replicate's
-normalized cdf (a row of zeros where the sum is 0), and each replicate
-searches its own row with one ``rng.random()`` from its own stream. So it
-draws the same index and leaves each stream where choice would. A seed
-therefore draws the same centroids as the per-point difference
-((x - c)^2).sum(), unless a draw falls within rounding of a boundary of the
-cumulative D^2. Non-finite points are refused before any draw.
+once, without choice's checks of p, and draws the index choice would draw
+with the same ``rng.random()``, leaving each stream where choice would.
+Below ``BOUNDS_MIN_POINTS`` points it uses choice's own algorithm: one
+cumulative sum along the rows of the (R, q) distance buffer gives every
+replicate's normalized cdf (a row of zeros where the sum is 0), and each
+replicate searches its own row. A seed therefore draws the same centroids
+as the per-point difference ((x - c)^2).sum(), unless a draw falls within
+rounding of a boundary of the cumulative D^2. Non-finite points are refused
+before any draw.
+
+From ``BOUNDS_MIN_POINTS`` points on, two paths skip work whose outcome
+they can prove, with labels, iterations and inertia bit for bit those of
+the plain paths:
+
+- Block-sum draws. One ``np.add.reduceat`` sums each row of D^2 over blocks
+  of ``DRAW_BLOCK`` entries, one cumulative sum over the block sums
+  gives the partial sums at the block ends, and one more inside the block
+  where u times the total falls finds the index. It stands only when u
+  times the total lies farther from both neighbouring partial sums than
+  4 (q + 2) eps times the total: twice the summation error bounds of
+  choice's cdf (about (q + 1) eps) and of these partial sums together, so
+  choice's cdf has u between the same two entries. Otherwise that row
+  builds choice's cdf, as below the gate. No draw on the SC inputs of the
+  benchmark's N = 5000 and N = 4000 graphs needed that fallback (k-means
+  seeds 0-9). At q = 4000, R = 20 a draw takes about 0.11 ms against
+  0.50 ms, of which the cumulative sum over all R x q entries is 0.26 ms.
+- Bounded Lloyd iterations (Hamerly, "Making k-means even faster", SDM
+  2010; Elkan, ICML 2003). The first iteration computes every distance row
+  and keeps, per point, a lower bound on its distance to every centroid but
+  its own: the square root of the second-smallest squared distance minus a
+  slack. Every centroid update lowers it by the largest centroid shift.
+  Each later iteration still makes the (q, k) GEMM, a tenth of a plain
+  iteration at q = 5000, k = 20, and reads each point's own entry
+  fl(fl(cc + pp) + cross) from it, the exact value a full row would hold. Half the distance from each
+  centroid to its nearest other centroid is a second bound. A point gets a
+  full distance row, with the formula, order and first-minimum rule above,
+  only where its own squared distance plus the slack reaches the square of
+  the larger bound; elsewhere no other centroid can be nearer, not even
+  after rounding. Any squared distance computed here is within
+  (dim + 2) 2^-53 (|x| + |c|)^2 <= (dim + 2) 2^-51 max|x|^2 of the exact
+  one, since every centroid is a mean of points or a point; the slack,
+  (dim + 2) 2^-38 max|x|^2, is 2^13 times that, which also covers the
+  rounding of the bounds over ``MAX_ITERS`` updates. ``distance_rows``
+  counts the rows computed: on the SC inputs of the benchmark's N = 5000,
+  k = 20 graph, 158 492 of the 1 010 000 a plain run computes. Its memory
+  is the same two q x k buffers, the q lower bounds, q-long temporaries and
+  the gathered cross terms of the rows it computes.
+
+The gate is set from synthetic unit rows (k blobs in k dimensions; k = 20
+and 100; best of 8 calls per path on 2 vCPUs): against the plain paths the
+bounded ones took 10-30 % longer at q <= 500, broke even between q = 750
+and 1500, and saved 13-32 % at q = 2000 and 3000. At 2000, CSC's k-means
+(n = 2k ln k points: 120 at k = 20, 922 at k = 100) and SC on graphs of
+fewer than 2000 nodes keep the plain paths.
 """
 
 from __future__ import annotations
@@ -58,6 +104,11 @@ REPLICATES = 20
 MAX_ITERS = 100
 # a run stops when its inertia falls by at most this fraction
 TOL = 1e-6
+# from this many points on, Lloyd iterations skip the distance rows their
+# bounds settle and k-means++ draws search block sums (see the module docstring)
+BOUNDS_MIN_POINTS = 2000
+# entries of D^2 per block of a block-sum draw
+DRAW_BLOCK = 64
 
 
 @dataclass
@@ -65,23 +116,68 @@ class Labeling:
     labels: np.ndarray
     inertia: float
     iterations_run: int
+    # point rows given a full k-column distance row, over every replicate and executed iteration
+    distance_rows: int
 
 
-def _draw(d2: np.ndarray, rngs: list[np.random.Generator], out: np.ndarray | None = None) -> list[int]:
+def _choice_cdfs(d2: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """choice's cdf of each row of the (R, q) ``d2``, and which rows have a positive sum.
+
+    The cumulative sum of p = d2 / d2.sum(), divided by its last entry, as
+    ``rng.choice(q, p=p)`` makes it; a row of zeros gives zeros. ``out`` may be
+    an (R, q) buffer for the cdfs.
+    """
+    totals = d2.sum(axis=1)
+    pos = totals > 0
+    cdf = np.divide(d2, np.where(pos, totals, 1.0)[:, None], out=out)
+    np.cumsum(cdf, axis=1, out=cdf)
+    cdf /= np.where(pos, cdf[:, -1], 1.0)[:, None]
+    return cdf, pos
+
+
+def _draw(d2: np.ndarray, rngs: list[np.random.Generator], out: np.ndarray | None = None) -> np.ndarray:
     """One index per row of the (R, q) ``d2``, row i drawn with ``rngs[i]``.
 
     The draw of ``rng.choice(q, p=d2[i] / d2[i].sum())`` without choice's
     checks of p, or of ``rng.integers(q)`` when the row sums to 0. ``out``
     may be an (R, q) buffer for the cdfs.
     """
-    q = d2.shape[1]
-    totals = d2.sum(axis=1)
-    pos = totals > 0
-    # choice's cdf, row by row: the cumulative sum of p, divided by its last entry
-    cdf = np.divide(d2, np.where(pos, totals, 1.0)[:, None], out=out)
-    np.cumsum(cdf, axis=1, out=cdf)
-    cdf /= np.where(pos, cdf[:, -1], 1.0)[:, None]
-    return [cdf[i].searchsorted(rng.random(), side="right") if pos[i] else rng.integers(q) for i, rng in enumerate(rngs)]
+    r, q = d2.shape
+    if q < BOUNDS_MIN_POINTS:
+        cdf, pos = _choice_cdfs(d2, out)
+        return np.array([cdf[i].searchsorted(rng.random(), side="right") if pos[i] else rng.integers(q)
+                         for i, rng in enumerate(rngs)], dtype=np.int64)
+    # D^2's partial sums at the block ends, then inside the block where u * total falls
+    ends = np.cumsum(np.add.reduceat(d2, np.arange(0, q, DRAW_BLOCK), axis=1), axis=1)
+    total = ends[:, -1]
+    pos = total > 0
+    picks = np.zeros(r, dtype=np.int64)
+    u = np.zeros(r)
+    for i, rng in enumerate(rngs):
+        if pos[i]:
+            u[i] = rng.random()
+        else:
+            picks[i] = rng.integers(q)
+    each = np.arange(r)
+    target = u * total
+    block = np.minimum((ends <= target[:, None]).sum(axis=1), ends.shape[1] - 1)
+    start = np.where(block > 0, ends[each, block - 1], 0.0)
+    cols = block[:, None] * DRAW_BLOCK + np.arange(DRAW_BLOCK)
+    sums = np.cumsum(d2[each[:, None], np.minimum(cols, q - 1)], axis=1)
+    sums += start[:, None]
+    step = np.minimum((sums <= target[:, None]).sum(axis=1), DRAW_BLOCK - 1)
+    index = cols[each, step]
+    above = sums[each, step]
+    below = np.where(step > 0, sums[each, step - 1], start)
+    # twice the summation error bounds of choice's cdf and of these partial
+    # sums together, relative to the total: beyond it from both neighbours,
+    # u lies between the same two entries of choice's cdf
+    margin = 4.0 * (q + 2) * np.finfo(np.float64).eps * total
+    certain = pos & (index < q) & (above - target > margin) & (target - below > margin)
+    picks[certain] = index[certain]
+    for i in np.flatnonzero(pos & ~certain):
+        picks[i] = _choice_cdfs(d2[i : i + 1])[0][0].searchsorted(u[i], side="right")
+    return picks
 
 
 def _seed_picks(points: np.ndarray, pp: np.ndarray, k: int, rngs: list[np.random.Generator]) -> np.ndarray:
@@ -112,7 +208,9 @@ def _seed_picks(points: np.ndarray, pp: np.ndarray, k: int, rngs: list[np.random
 
 
 def _lloyd(points, pp, centroids, max_iters, tol):
-    q = points.shape[0]
+    """Lloyd iterations from ``centroids`` (updated in place): labels, inertia,
+    iterations run and the number of full distance rows computed."""
+    q, dim = points.shape
     k = centroids.shape[0]
     rows = np.arange(q)
     # the (k, q) one-hot matrix in CSC form, column i holding one 1 in row
@@ -121,19 +219,61 @@ def _lloyd(points, pp, centroids, max_iters, tol):
     cross = np.empty((q, k))
     dist = np.empty((q, k))
     labels = np.zeros(q, dtype=np.int64)
+    bounded = q >= BOUNDS_MIN_POINTS
+    if bounded:
+        # per point: a lower bound on the distance to every centroid but its own
+        lower = np.empty(q)
+        row_starts = rows * k  # flat offsets of the rows of cross
+        # 2^13 times the rounding bound of any squared distance below (module docstring)
+        slack = (dim + 2) * 2.0**-38 * float(pp.max())
     inertia = np.inf
     iters = 0
+    computed = 0
     for it in range(max_iters):
-        # (q, k) squared distances pp + cc - 2 P C^T, clipped at 0 for safety
-        np.matmul(points, (centroids * -2.0).T, out=cross)  # scaling by -2 is exact
-        # cc copied into every row, then pp added: the fl(pp + cc) of
-        # np.add(pp[:, None], cc, out=dist), a fifth faster at q = 4000, k = 100
-        np.copyto(dist, (centroids * centroids).sum(axis=1))
-        dist += pp[:, None]
-        dist += cross
-        np.maximum(dist, 0.0, out=dist)
-        labels = dist.argmin(axis=1)  # argmin takes first minimum: ties go to lowest index
-        point_d2 = dist[rows, labels]
+        # (q, k) cross terms -2 P C^T: scaling by -2 is exact
+        centroids_m2 = centroids * -2.0
+        np.matmul(points, centroids_m2.T, out=cross)
+        cc = (centroids * centroids).sum(axis=1)
+        if bounded and it > 0:
+            # each point's squared distance to its own centroid, the entry its
+            # full row would hold; the row is needed only where that distance
+            # may reach max(lower bound, half the gap to the nearest other centroid)
+            point_d2 = cc[labels]
+            point_d2 += pp
+            point_d2 += cross.ravel()[row_starts + labels]
+            np.maximum(point_d2, 0.0, out=point_d2)
+            gaps = centroids @ centroids_m2.T
+            gaps += cc[:, None]
+            gaps += cc
+            np.fill_diagonal(gaps, np.inf)
+            half = 0.5 * np.sqrt(np.maximum(gaps.min(axis=1) - slack, 0.0))
+            bound = np.maximum(lower, half[labels])
+            todo = np.flatnonzero(point_d2 + slack >= bound * bound)
+            sub = dist[: todo.size]
+            np.add(cc, pp[todo, None], out=sub)
+            sub += cross[todo]
+        else:
+            todo = rows
+            sub = dist
+            # cc copied into every row, then pp added: the fl(pp + cc) of
+            # np.add(pp[:, None], cc, out=dist), a fifth faster at q = 4000, k = 100
+            np.copyto(dist, cc)
+            dist += pp[:, None]
+            dist += cross
+        # squared distances fl(fl(cc + pp) + cross), clipped at 0 for safety
+        np.maximum(sub, 0.0, out=sub)
+        nearest = sub.argmin(axis=1)  # argmin takes first minimum: ties go to lowest index
+        computed += todo.size
+        done = rows[: todo.size]
+        if todo is rows:
+            labels = nearest
+            point_d2 = dist[rows, labels]
+        else:
+            labels[todo] = nearest
+            point_d2[todo] = sub[done, nearest]
+        if bounded:
+            sub[done, nearest] = np.inf
+            lower[todo] = np.sqrt(np.maximum(sub.min(axis=1) - slack, 0.0))
         new_inertia = float(point_d2.sum())
         iters = it + 1
         counts = np.bincount(labels, minlength=k)
@@ -151,6 +291,7 @@ def _lloyd(points, pp, centroids, max_iters, tol):
             inertia = new_inertia
             iters = min(it + 2, max_iters)
             break
+        previous = centroids.copy() if bounded else None
         # centroid update: one grouped sum, the product with the one-hot
         # matrix; it adds each cluster's points in point order, as a masked
         # mean does
@@ -162,8 +303,12 @@ def _lloyd(points, pp, centroids, max_iters, tol):
             far = int(point_d2.argmax())
             centroids[j] = points[far]
             point_d2[far] = 0.0  # successive empty clusters pick distinct points
+        if bounded:
+            # no centroid moved farther than the largest shift
+            previous -= centroids
+            lower -= np.sqrt((previous * previous).sum(axis=1).max())
         inertia = new_inertia
-    return labels, inertia, iters
+    return labels, inertia, iters, computed
 
 
 def kmeans(points: np.ndarray, k: int, seed: int) -> Labeling:
@@ -195,10 +340,13 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> Labeling:
     # the Lloyd products read one C-ordered block
     block = np.ascontiguousarray(points)
     best: Labeling | None = None
+    distance_rows = 0
     for picks in seeds:
-        labels, inertia, iters = _lloyd(block, pp, block[picks], MAX_ITERS, TOL)
+        labels, inertia, iters, computed = _lloyd(block, pp, block[picks], MAX_ITERS, TOL)
+        distance_rows += computed
         if best is None or inertia < best.inertia:
-            best = Labeling(labels=labels, inertia=inertia, iterations_run=iters)
+            best = Labeling(labels=labels, inertia=inertia, iterations_run=iters, distance_rows=0)
     assert best is not None
+    best.distance_rows = distance_rows
     return best
 

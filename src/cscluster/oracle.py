@@ -167,6 +167,7 @@ def run_sc_baseline(op: LaplacianOp, k: int, *, seed: int = 0, basis: EigenBasis
         "eig_solver": basis.solver,
         "kmeans_inertia": labeling.inertia,
         "kmeans_iterations": labeling.iterations_run,
+        "kmeans_distance_rows": labeling.distance_rows,
         "seed": kmeans_seed,
         "timings": {"eig": t_eig, "kmeans": t_kmeans, "total": t_eig + t_kmeans},
     }

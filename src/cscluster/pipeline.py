@@ -170,6 +170,7 @@ def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
         "probe_refused": 0,
         "kmeans_inertia": labeling.inertia,
         "kmeans_iterations": labeling.iterations_run,
+        "kmeans_distance_rows": labeling.distance_rows,
         # the lift is a direct solve, no iteration; perfbench still reads both keys
         "solver_iterations": [0] * prm.k,
         "solver_converged": [True] * prm.k,

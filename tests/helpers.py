@@ -180,5 +180,5 @@ def loop_kmeans(points: np.ndarray, k: int, seed: int) -> Labeling:
         centroids = loop_seed_centroids(points, k, rng)
         labels, inertia, iters = loop_lloyd(points, centroids, MAX_ITERS, TOL)
         if best is None or inertia < best.inertia:
-            best = Labeling(labels=labels, inertia=inertia, iterations_run=iters)
+            best = Labeling(labels=labels, inertia=inertia, iterations_run=iters, distance_rows=0)
     return best

@@ -419,6 +419,25 @@ class TestEdgeListIO:
         with pytest.raises(GraphError, match=message):
             read_edge_list(path)
 
+    def test_header_beyond_memory_refused_before_sizing(self, tmp_path, monkeypatch):
+        # a '# nodes N' header whose N + 1 int64 row pointers alone exceed
+        # physical memory is refused before anything is sized by it; one
+        # node fewer than that limit is sized as asked
+        physical = cscluster.graph._physical_memory()
+        if physical is None:
+            pytest.skip("the system does not report its physical memory")
+        limit = physical // 8 - 1  # the largest N whose N + 1 row pointers fit
+        path = tmp_path / "big.edges"
+        seen = []
+        monkeypatch.setattr(cscluster.graph, "_from_edges", lambda *args: seen.append(args[3]))
+        for num_nodes in (4_000_000_000_000, limit + 1):
+            path.write_text(f"# nodes {num_nodes}\n0 1\n")
+            with pytest.raises(MemoryError, match=f"'# nodes {num_nodes}' asks for {num_nodes + 1} int64 row pointers"):
+                read_edge_list(path)
+        path.write_text(f"# nodes {limit}\n0 1\n")
+        read_edge_list(path)
+        assert seen == [limit]
+
     def test_headerless_huge_id_refused_before_sizing(self, tmp_path, monkeypatch):
         # without a header, an id whose node count exceeds max(2 x edge
         # lines, 2^16) is refused before the graph is sized by it: 4e9 would

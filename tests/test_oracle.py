@@ -128,6 +128,8 @@ class TestArpackPath:
         assert basis.eigenvalues[6] > 0.1
         result = run_sc_baseline(op, 6, seed=0)
         assert result.diagnostics["eig_solver"] == "lapack"
+        # 1800 rows, below BOUNDS_MIN_POINTS: all of them in every executed Lloyd iteration
+        assert result.diagnostics["kmeans_distance_rows"] % 1800 == 0
         assert adjusted_rand_index(np.repeat(np.arange(6), 300), result.labels) == 1.0
 
     @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from cscluster import (
     run_sc_baseline,
     sbm_generate,
 )
-from cscluster.kmeans import Labeling
+from cscluster.kmeans import REPLICATES, Labeling
 from cscluster.pipeline import default_num_samples, default_num_signals
 from cscluster.spectrum import default_probe_signals
 from helpers import cliques_graph, lowpass_response
@@ -79,6 +79,10 @@ class TestRunCsc:
         assert "assign_fallback_nodes" not in d
         assert d["probe_iterations"] == 1
         assert d["probe_count"] == pytest.approx(4.0, abs=3.0 * d["probe_count_se"])
+        # far below BOUNDS_MIN_POINTS: every executed Lloyd iteration of every
+        # replicate computes all n distance rows
+        assert d["kmeans_distance_rows"] % d["n"] == 0
+        assert d["kmeans_distance_rows"] >= REPLICATES * d["n"]
 
     def test_narrow_gap_falls_back_to_nearest_count(self):
         # k = 20 at eps_c / 2: no point of the gap above lambda_20 reads flat,
@@ -195,7 +199,7 @@ class TestRunCsc:
         op = laplacian_op(g)
 
         def fake_kmeans(points, k, seed):
-            return Labeling(labels=np.zeros(len(points), dtype=np.int64), inertia=0.0, iterations_run=1)
+            return Labeling(labels=np.zeros(len(points), dtype=np.int64), inertia=0.0, iterations_run=1, distance_rows=len(points))
 
         monkeypatch.setattr("cscluster.pipeline.kmeans", fake_kmeans)
         with pytest.raises(DegenerateClusteringError):
