@@ -4,27 +4,37 @@
 (all of them by default): from ARPACK on the sparse S when fewer than N
 pairs of a connected graph are asked for and the graph is larger than
 ARPACK's Krylov space, and from LAPACK (``scipy.linalg.eigh``) otherwise,
-where the graph must be small enough to densify. ``run_sc_baseline`` is the
-standard k-way spectral clustering baseline (first k eigenvectors, row
-normalization, k-means), on the k + 1 leading pairs it reads or on a given
-basis; on a connected graph it runs at any N. The baseline returns the
-k-means labels and its diagnostics, as ``run_csc`` does. The paper's error
-terms (the filter's sup errors e1, e2 on the spectrum, the coherences of
-U_k) are one line each from an ``EigenBasis`` (U_k is
-``eigenvectors[:, :k]``) and numpy's ``chebval(eigenvalues - 1, c)`` of a
-``filters.lowpass_coefficients`` row c, so the package keeps no helper for
-them.
+where the graph must be small enough to densify. ARPACK's result must pass
+a residual check, and while its Krylov basis holds at most PIN_MAX_BASIS
+entries it runs on one thread of scipy's own OpenBLAS pool (see
+``dense_eig`` for the rule and its measurements; numpy's OpenBLAS is left
+alone). ``run_sc_baseline`` is the standard k-way spectral clustering
+baseline (first k eigenvectors, row normalization, k-means), on the k + 1
+leading pairs it reads or on a given basis; on a connected graph it runs at
+any N. The baseline returns the k-means labels and its diagnostics, as
+``run_csc`` does. The paper's error terms (the filter's sup errors e1, e2
+on the spectrum, the coherences of U_k) are one line each from an
+``EigenBasis`` (U_k is ``eigenvectors[:, :k]``) and numpy's
+``chebval(eigenvalues - 1, c)`` of a ``filters.lowpass_coefficients`` row
+c, so the package keeps no helper for them.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import logging
+import os
+import threading
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
+from scipy.sparse.linalg import ArpackError
 
 from ._rng import substream_seed
 from .graph import LaplacianOp
@@ -37,6 +47,14 @@ logger = logging.getLogger(__name__)
 # fallback for split or small graphs, not SC on a connected graph
 DEFAULT_DENSE_CAP = 5000
 _TIE_TOL = 1e-10
+# the largest Krylov basis, N x ncv entries, whose ARPACK solve runs on one
+# thread of scipy's BLAS pool (see dense_eig). From a sweep of eigsh at
+# k = 20-50, 3-6 processes per point, 2 vCPUs: at N ncv of 4.3e4-9.9e4 one
+# thread was faster in 10 of 15 processes, at 1.08e5-2.2e5 slower in 11 of 15
+PIN_MAX_BASIS = 100_000
+# ARPACK's eigenpairs must satisfy max_j ||S v_j - mu_j v_j|| <= this
+ARPACK_RESIDUAL_TOL = 1e-8
+_pin_lock = threading.Lock()
 
 
 class DenseCapError(ValueError):
@@ -49,11 +67,62 @@ class EigenBasis:
     """Leading eigenpairs of a normalized Laplacian: ascending eigenvalues in
     [0, 2] and the orthonormal eigenvectors (one per column, N rows).
     ``solver`` names the eigensolver that ``dense_eig`` used, "arpack" or
-    "lapack"; it is None for a basis computed elsewhere."""
+    "lapack"; it is None for a basis computed elsewhere. ``blas_threads`` is
+    1 when ``dense_eig`` ran ARPACK on one thread of scipy's BLAS pool, and
+    None otherwise."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     solver: str | None = None
+    blas_threads: int | None = None
+
+
+@functools.cache
+def _scipy_openblas():
+    """The (get, set) thread-count functions of the OpenBLAS that scipy
+    ships and has already loaded into this process, or None. The library is
+    opened with RTLD_NOLOAD, so this never loads a second OpenBLAS with a
+    pool of its own; numpy's OpenBLAS is a different library and is never
+    touched."""
+    mode = getattr(os, "RTLD_NOLOAD", None)
+    if mode is None:
+        return None
+    root = Path(scipy.__file__).parent
+    # Linux wheels keep it in site-packages/scipy.libs, macOS ones in scipy/.dylibs
+    for path in sorted([*root.parent.glob("scipy.libs/lib*openblas*"), *root.glob(".dylibs/lib*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path), mode=mode | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):  # older wheels use the plain names
+            get = getattr(lib, f"{prefix}_get_num_threads", None)
+            put = getattr(lib, f"{prefix}_set_num_threads", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body on one thread of scipy's OpenBLAS pool and yield 1, then
+    restore the pool's count; yield None and change nothing when that
+    library is not found. The module lock is held throughout, so concurrent
+    callers run their bodies one at a time and the pool ends at the count
+    the first one found."""
+    blas = _scipy_openblas()
+    if blas is None:
+        yield None
+        return
+    get, put = blas
+    with _pin_lock:
+        found = get()
+        put(1)
+        try:
+            yield 1
+        finally:
+            put(found)
 
 
 def dense_eig(op: LaplacianOp, count: int | None = None) -> EigenBasis:
@@ -61,15 +130,37 @@ def dense_eig(op: LaplacianOp, count: int | None = None) -> EigenBasis:
 
     ARPACK (``eigsh`` on the ``count`` largest algebraic eigenvalues mu of
     the sparse S, from a fixed start vector, so the call is deterministic;
-    lambda = 1 - mu) runs when ``count`` < N, N exceeds ARPACK's Krylov size
-    max(2 count + 1, 20) and the graph is connected. A Krylov method can miss copies of a repeated
-    eigenvalue, and a graph of c components has c zero eigenvalues, so a
-    split graph, a full spectrum and a graph too small for the Krylov space
-    go to LAPACK on the dense L. That path raises DenseCapError above
-    DEFAULT_DENSE_CAP nodes, before L is made dense: use the compressive
-    pipeline there. An ARPACK failure raises ``ArpackError`` (or its
-    subclass ``ArpackNoConvergence``). A ``count`` outside [1, N] raises
+    lambda = 1 - mu) runs when N exceeds ARPACK's Krylov size
+    ncv = max(2 count + 1, 20) and the graph is connected. A Krylov method
+    can miss copies of a repeated eigenvalue, and a graph of c components
+    has c zero eigenvalues, so a split graph, a full spectrum and a graph
+    too small for the Krylov space go to LAPACK on the dense L. That path
+    raises DenseCapError above DEFAULT_DENSE_CAP nodes, before L is made
+    dense: use the compressive pipeline there. An ARPACK failure raises
+    ``ArpackError`` (or its subclass ``ArpackNoConvergence``), and so does
+    an ARPACK result whose largest residual max_j ||S v_j - mu_j v_j||
+    exceeds ARPACK_RESIDUAL_TOL. A ``count`` outside [1, N] raises
     ValueError.
+
+    ARPACK's dense steps on its N x ncv Krylov basis are small BLAS-2
+    calls. While N ncv <= PIN_MAX_BASIS they run on one thread of scipy's
+    OpenBLAS pool (the basis's ``blas_threads`` is then 1), because waking
+    the pool's other threads for each call costs more than it saves, and in
+    some processes makes the solve 4-15 times slower. Medians of ``eigsh``
+    over 5 calls from 2 processes each, SBM graphs at s = 16, 2 vCPUs:
+
+        N, k        N ncv      pool (2)         1 thread
+        1000, 20    4.3e4      15-65 ms         14-21 ms
+        2000, 20    8.6e4      48-102 ms        42-45 ms
+        5000, 20    2.2e5      141-168 ms       162-169 ms
+        4000, 100   8.1e5      377-431 ms       519-578 ms
+        1e5, 20     4.3e6      8.4-8.9 s        12.5-12.9 s
+
+    Above the gate the pool keeps its own count. Below it the result does
+    not depend on the process's BLAS thread count, by construction; above
+    it, it does: at N = 4000, k = 100 the eigenvectors from 1 and from 2
+    threads differ (max |dV| 0.22 and 0.34 in two measurements), and so
+    does SC's output.
 
     The name predates the ARPACK path; it is kept because the benchmark
     traces SC's eigensolver under ``oracle.dense_eig``.
@@ -83,11 +174,18 @@ def dense_eig(op: LaplacianOp, count: int | None = None) -> EigenBasis:
     from scipy.sparse.csgraph import connected_components
 
     components = connected_components(op.graph.adjacency(), directed=False, return_labels=False)
-    if components == 1 and count < n and n > max(2 * count + 1, 20):
+    ncv = max(2 * count + 1, 20)  # eigsh's default Krylov size when N exceeds it
+    if components == 1 and n > ncv:
         v0 = np.random.default_rng(0).standard_normal(n)
-        mu, vecs = scipy.sparse.linalg.eigsh(op.s, k=count, which="LA", v0=v0)
+        with _one_blas_thread() if n * ncv <= PIN_MAX_BASIS else contextlib.nullcontext() as threads:
+            mu, vecs = scipy.sparse.linalg.eigsh(op.s, k=count, which="LA", v0=v0)
+        residual = np.linalg.norm(op.s @ vecs - vecs * mu, axis=0).max()
+        if not residual <= ARPACK_RESIDUAL_TOL:  # a NaN residual fails too
+            raise ArpackError(0, {0: f"eigenpair residual {residual:.3e} exceeds {ARPACK_RESIDUAL_TOL:g}"})
         order = np.argsort(-mu)
-        return EigenBasis(eigenvalues=1.0 - mu[order], eigenvectors=vecs[:, order], solver="arpack")
+        return EigenBasis(
+            eigenvalues=1.0 - mu[order], eigenvectors=vecs[:, order], solver="arpack", blas_threads=threads
+        )
     if n > DEFAULT_DENSE_CAP:
         raise DenseCapError(
             f"dense eigendecomposition refused for N={n} > cap={DEFAULT_DENSE_CAP}: {count} eigenpairs of a graph "
@@ -100,8 +198,10 @@ def dense_eig(op: LaplacianOp, count: int | None = None) -> EigenBasis:
     # other BLAS is busy: numpy and scipy each load their own OpenBLAS, and
     # within about 0.1 s of a numpy BLAS call (such as a run_csc just before)
     # that pool's spinning worker holds the second vCPU, and the same call
-    # takes 0.10-0.11 s, as with one BLAS thread. L comes in Fortran order,
-    # so overwrite_a leaves LAPACK no N x N copy to make
+    # takes 0.10-0.11 s, slower than on one thread of scipy's pool (0.08-0.10
+    # s). One thread is no cure at larger N: 2.1 and 9.4-9.7 s at N = 3000
+    # and 5000, against 1.2 and 5.0-5.3 s on the pool. L comes in Fortran
+    # order, so overwrite_a leaves LAPACK no N x N copy to make
     w, V = scipy.linalg.eigh(
         op.dense(), overwrite_a=True, check_finite=False, driver="evr", subset_by_index=[0, count - 1]
     )
@@ -117,9 +217,11 @@ def run_sc_baseline(op: LaplacianOp, k: int, *, seed: int = 0, basis: EigenBasis
     the pathologic case where normalization is undefined; they raise
     DegenerateClusteringError. An isolated node has such a row once
     lambda_k < 1. The one ``dense_eig`` call picks the eigensolver, named in
-    the diagnostics' "eig_solver". A precomputed ``basis`` skips the
-    eigendecomposition ("eig_solver" is then its ``solver``); it needs N rows
-    and at least min(k + 1, N) leading pairs, or ValueError.
+    the diagnostics' "eig_solver", and "eig_blas_threads" is 1 when it ran
+    on one thread of scipy's BLAS pool. A precomputed ``basis`` skips the
+    eigendecomposition (both keys are then its ``solver`` and
+    ``blas_threads``); it needs N rows and at least min(k + 1, N) leading
+    pairs, or ValueError.
     """
     n = op.num_nodes
     if k < 2:
@@ -165,6 +267,7 @@ def run_sc_baseline(op: LaplacianOp, k: int, *, seed: int = 0, basis: EigenBasis
         "lambda_k": float(w[k - 1]),
         "degenerate_eigenvalue_cut": degenerate_cut,
         "eig_solver": basis.solver,
+        "eig_blas_threads": basis.blas_threads,
         "kmeans_inertia": labeling.inertia,
         "kmeans_iterations": labeling.iterations_run,
         "kmeans_distance_rows": labeling.distance_rows,

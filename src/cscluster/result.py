@@ -39,11 +39,14 @@ class ClusterResult:
 
     def to_json(self, *, indent: int | None = None) -> str:
         """Deterministic JSON; timings are excluded so equal seeds serialize
-        byte-identically. Only the SC baseline's LAPACK fallback (a split or
-        tiny graph, see ``oracle.dense_eig``) also needs a fixed BLAS thread
-        count: its eigenvalues and k-means inertia differ between thread
-        counts, while its ARPACK path does not. Numpy scalars and arrays
-        serialize as their ``tolist()``."""
+        byte-identically. The SC baseline's eigensolver (see
+        ``oracle.dense_eig``) also needs a fixed BLAS thread count, except
+        where it runs ARPACK on one thread of scipy's pool (N ncv at most
+        ``PIN_MAX_BASIS``, "eig_blas_threads" 1): the LAPACK fallback's
+        eigenvalues and k-means inertia differ between thread counts, and so
+        do ARPACK's eigenvectors above that gate (at N = 4000, k = 100, by
+        0.22-0.34 in one entry). Numpy scalars and arrays serialize as their
+        ``tolist()``."""
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent, default=_tolist)
 
     def save_json(self, path: str | Path) -> None:

@@ -118,6 +118,8 @@ def test_dense_cap_is_numeric_failure(tmp_path, capsys, monkeypatch):
     result = json.loads(out.read_text())
     assert len(result["labels"]) == 5001
     assert result["diagnostics"]["eig_solver"] == "arpack"
+    # N ncv = 5001 x 20 is just above the gate: scipy's pool keeps its own count
+    assert result["diagnostics"]["eig_blas_threads"] is None
 
     text = connected.read_text()
     assert text.startswith("# nodes 5001\n")
@@ -144,6 +146,22 @@ def test_arpack_failure_is_numeric_failure(tmp_path, sbm_files, capsys, monkeypa
     argv = ["cluster", "--input", str(edges), "--output", str(tmp_path / "o.csv"), "--method", "sc", "--k", "3"]
     assert main(argv) == EXIT_NUMERIC
     assert _error(capsys, EXIT_NUMERIC) == str(error)
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_arpack_residual_is_numeric_failure(tmp_path, sbm_files, capsys, monkeypatch):
+    # an ARPACK result that reports success but is not an eigenpair
+    edges, _ = sbm_files
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def perturbed(*args, **kwargs):
+        mu, vecs = eigsh(*args, **kwargs)
+        return mu + 1e-6, vecs
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
+    argv = ["cluster", "--input", str(edges), "--output", str(tmp_path / "o.csv"), "--method", "sc", "--k", "3"]
+    assert main(argv) == EXIT_NUMERIC
+    assert _error(capsys, EXIT_NUMERIC).startswith("ARPACK error 0: eigenpair residual 1.000e-06 exceeds 1e-08")
     assert not (tmp_path / "o.csv").exists()
 
 

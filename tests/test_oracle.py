@@ -3,12 +3,15 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
+from scipy.sparse.linalg import ArpackError
 
 import cscluster.oracle
 from cscluster import (
@@ -24,7 +27,7 @@ from cscluster import (
     run_sc_baseline,
     sbm_generate,
 )
-from cscluster.oracle import DEFAULT_DENSE_CAP, EigenBasis
+from cscluster.oracle import ARPACK_RESIDUAL_TOL, DEFAULT_DENSE_CAP, PIN_MAX_BASIS, EigenBasis
 from helpers import cliques_graph, random_graph
 
 
@@ -98,6 +101,17 @@ def _refuse_arpack(*args, **kwargs):
     raise AssertionError("ARPACK must not run on this input")
 
 
+def _ring(n):
+    """A connected n-node ring with chords."""
+    edges = [(i, (i + 1) % n, 1.0) for i in range(n)] + [(i, (i + 7) % n, 0.5) for i in range(n)]
+    return laplacian_op(build_graph(edges))
+
+
+# the value that ARPACK below the gate reports: 1, or None in an install
+# where scipy's OpenBLAS is not found
+PINNED = 1 if cscluster.oracle._scipy_openblas() else None
+
+
 class TestArpackPath:
     @pytest.mark.parametrize("fixture", ["sbm200", "sbm500"])
     def test_agrees_with_lapack(self, fixture, request):
@@ -109,12 +123,16 @@ class TestArpackPath:
         assert full.solver == "lapack"
         basis = dense_eig(op, k + 1)
         assert basis.solver == "arpack"
+        assert basis.blas_threads == PINNED
         assert np.abs(basis.eigenvalues - full.eigenvalues[: k + 1]).max() < 1e-10
         overlap = np.linalg.svd(basis.eigenvectors.T @ full.eigenvectors[:, : k + 1], compute_uv=False)
         assert overlap.min() >= 1 - 1e-8
         result = run_sc_baseline(op, k, seed=0)
         assert result.diagnostics["eig_solver"] == "arpack"
-        assert np.array_equal(result.labels, run_sc_baseline(op, k, seed=0, basis=full).labels)
+        assert result.diagnostics["eig_blas_threads"] == PINNED
+        given = run_sc_baseline(op, k, seed=0, basis=full)
+        assert given.diagnostics["eig_blas_threads"] is None
+        assert np.array_equal(result.labels, given.labels)
 
     def test_split_graph_takes_lapack(self, monkeypatch):
         # ARPACK finds 2 of the 6 zero eigenvalues of this union (from the
@@ -128,6 +146,7 @@ class TestArpackPath:
         assert basis.eigenvalues[6] > 0.1
         result = run_sc_baseline(op, 6, seed=0)
         assert result.diagnostics["eig_solver"] == "lapack"
+        assert result.diagnostics["eig_blas_threads"] is None
         # 1800 rows, below BOUNDS_MIN_POINTS: all of them in every executed Lloyd iteration
         assert result.diagnostics["kmeans_distance_rows"] % 1800 == 0
         assert adjusted_rand_index(np.repeat(np.arange(6), 300), result.labels) == 1.0
@@ -137,10 +156,8 @@ class TestArpackPath:
         [(20, 3, "lapack"), (21, 3, "arpack"), (39, 19, "lapack"), (40, 19, "arpack"), (40, 40, "lapack")],
     )
     def test_krylov_size_boundary(self, n, count, solver, monkeypatch):
-        # ARPACK runs only for N > max(2 count + 1, 20) and count < N; a ring
-        # with chords keeps the graph connected
-        edges = [(i, (i + 1) % n, 1.0) for i in range(n)] + [(i, (i + 7) % n, 0.5) for i in range(n)]
-        op = laplacian_op(build_graph(edges))
+        # ARPACK runs only for N > max(2 count + 1, 20) and count < N
+        op = _ring(n)
         if solver == "lapack":
             monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _refuse_arpack)
         basis = dense_eig(op, count)
@@ -149,7 +166,9 @@ class TestArpackPath:
 
     def test_json_does_not_depend_on_blas_threads(self):
         # numpy and scipy read OPENBLAS_NUM_THREADS at import, so each side
-        # is its own process; the default side runs with the machine's count
+        # is its own process; the default side runs with the machine's count.
+        # N ncv = 43000 is below the gate, so ARPACK runs on one thread of
+        # scipy's pool either way, and numpy's count must not matter
         script = (
             "import sys\n"
             "from cscluster import SbmConfig, critical_epsilon, laplacian_op, run_sc_baseline, sbm_generate\n"
@@ -165,6 +184,125 @@ class TestArpackPath:
         ]
         assert b'"eig_solver": "arpack"' in outputs[0]
         assert outputs[0] == outputs[1]
+
+
+@pytest.fixture
+def pool():
+    """scipy's OpenBLAS pool set to 3 threads for the test, then restored;
+    yields its get-thread-count function."""
+    blas = cscluster.oracle._scipy_openblas()
+    if blas is None:
+        pytest.skip("scipy's OpenBLAS is not found in this install")
+    get, put = blas
+    found = get()
+    put(3)
+    try:
+        yield get
+    finally:
+        put(found)
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestBlasPin:
+    def test_one_thread_inside_and_restored_after(self, pool):
+        with cscluster.oracle._one_blas_thread() as threads:
+            assert threads == 1
+            assert pool() == 1
+        assert pool() == 3
+
+    @pytest.mark.parametrize(
+        "n, count, pinned",
+        [(1000, 21, True), (2325, 21, True), (2326, 21, False), (5000, 3, True), (5001, 3, False)],
+    )
+    def test_gate_boundary(self, n, count, pinned, pool, monkeypatch):
+        # eigsh reads one thread while N ncv <= PIN_MAX_BASIS, with ncv =
+        # max(2 count + 1, 20), and the pool's own 3 above it; the count is
+        # restored although eigsh raises
+        assert (n * max(2 * count + 1, 20) <= PIN_MAX_BASIS) == pinned
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(pool())
+            raise _Stop
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording)
+        with pytest.raises(_Stop):
+            dense_eig(_ring(n), count)
+        assert seen == [1 if pinned else 3]
+        assert pool() == 3
+
+    def test_library_not_found(self, sbm500, monkeypatch):
+        monkeypatch.setattr(cscluster.oracle, "_scipy_openblas", lambda: None)
+        op, full, k = sbm500["op"], sbm500["basis"], sbm500["k"]
+        basis = dense_eig(op, k + 1)
+        assert basis.solver == "arpack"
+        assert basis.blas_threads is None
+        assert np.abs(basis.eigenvalues - full.eigenvalues[: k + 1]).max() < 1e-10
+        assert run_sc_baseline(op, k, seed=0).diagnostics["eig_blas_threads"] is None
+
+    def test_concurrent_calls_restore_the_pool(self, sbm500, pool, monkeypatch):
+        # 4 threads on 2 or fewer cores, 5 calls each, with a short switch
+        # interval and a sleep inside eigsh to make the pins overlap: each
+        # call must read one thread, give the same eigenpairs, and the pool
+        # must end at the count it had before
+        op, k = sbm500["op"], sbm500["k"]
+        eigsh = scipy.sparse.linalg.eigsh
+        seen = []
+
+        def sleepy(*args, **kwargs):
+            seen.append(pool())
+            time.sleep(0.005)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", sleepy)
+        expected = dense_eig(op, k + 1).eigenvectors
+        errors = []
+
+        def work():
+            try:
+                for _ in range(5):
+                    assert np.array_equal(dense_eig(op, k + 1).eigenvectors, expected)
+            except BaseException as exc:  # read by the main thread below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(4)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert errors == []
+        assert seen == [1] * 21
+        assert pool() == 3
+
+
+class TestResidualGuard:
+    @pytest.mark.parametrize("shift, refused", [(1e-10, False), (1e-7, True), (np.nan, True)])
+    def test_perturbed_eigenvalue(self, sbm500, shift, refused, monkeypatch):
+        # an eigenvector of unit norm whose eigenvalue is off by `shift` has
+        # a residual of |shift|
+        op, k = sbm500["op"], sbm500["k"]
+        eigsh = scipy.sparse.linalg.eigsh
+
+        def perturbed(*args, **kwargs):
+            mu, vecs = eigsh(*args, **kwargs)
+            mu[0] += shift
+            return mu, vecs
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
+        if refused:
+            with pytest.raises(ArpackError, match=f"eigenpair residual .* exceeds {ARPACK_RESIDUAL_TOL:g}"):
+                dense_eig(op, k + 1)
+        else:
+            assert dense_eig(op, k + 1).solver == "arpack"
 
 
 class TestSpectralClustering:
