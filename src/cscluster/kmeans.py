@@ -36,59 +36,55 @@ its own: ``rng.integers`` for the first centroid, then the draw of
 ``rng.choice(q, p=D^2 / sum D^2)`` for each next one (``rng.integers`` when
 every distance is 0). ``_draw`` makes these draws for all R replicates at
 once, without choice's checks of p, and draws the index choice would draw
-with the same ``rng.random()``, leaving each stream where choice would.
-Below ``BOUNDS_MIN_POINTS`` points it uses choice's own algorithm: one
-cumulative sum along the rows of the (R, q) distance buffer gives every
-replicate's normalized cdf (a row of zeros where the sum is 0), and each
-replicate searches its own row. A seed therefore draws the same centroids
-as the per-point difference ((x - c)^2).sum(), unless a draw falls within
-rounding of a boundary of the cumulative D^2. Non-finite points are refused
-before any draw.
+with the same ``rng.random()``, leaving each stream where choice would. It
+searches block sums instead of choice's cdf: one ``np.add.reduceat`` sums
+each row of D^2 over blocks of ``DRAW_BLOCK`` entries, one cumulative sum
+over the block sums gives the partial sums at the block ends, and one more
+inside the block where u times the total falls finds the index. It stands
+only when u times the total lies farther from both neighbouring partial sums
+than 4 (q + 2) eps times the total: twice the summation error bounds of
+choice's cdf (about (q + 1) eps) and of these partial sums together, so
+choice's cdf has u between the same two entries. Otherwise that row builds
+choice's own cdf and searches it. No draw on the SC inputs of the
+benchmark's N = 5000 and N = 4000 graphs needed that fallback (k-means seeds
+0-9). A seed therefore draws the same centroids as the per-point difference
+((x - c)^2).sum(), unless a draw falls within rounding of a boundary of the
+cumulative D^2. Non-finite points are refused before any draw. Against a
+search of choice's cdf built for every row, a draw of R = 20 rows took (best
+of 7 x 50 on 2 vCPUs) 0.07 ms against 0.13 ms at q = 922 (CSC at k = 100)
+and 0.10 ms against 0.51 ms at q = 5000; they broke even at q = 300, and at
+q = 120 (CSC at k = 20) the block sums cost 0.06 ms against 0.05 ms.
 
-From ``BOUNDS_MIN_POINTS`` points on, two paths skip work whose outcome
-they can prove, with labels, iterations and inertia bit for bit those of
-the plain paths:
-
-- Block-sum draws. One ``np.add.reduceat`` sums each row of D^2 over blocks
-  of ``DRAW_BLOCK`` entries, one cumulative sum over the block sums
-  gives the partial sums at the block ends, and one more inside the block
-  where u times the total falls finds the index. It stands only when u
-  times the total lies farther from both neighbouring partial sums than
-  4 (q + 2) eps times the total: twice the summation error bounds of
-  choice's cdf (about (q + 1) eps) and of these partial sums together, so
-  choice's cdf has u between the same two entries. Otherwise that row
-  builds choice's cdf, as below the gate. No draw on the SC inputs of the
-  benchmark's N = 5000 and N = 4000 graphs needed that fallback (k-means
-  seeds 0-9). At q = 4000, R = 20 a draw takes about 0.11 ms against
-  0.50 ms, of which the cumulative sum over all R x q entries is 0.26 ms.
-- Bounded Lloyd iterations (Hamerly, "Making k-means even faster", SDM
-  2010; Elkan, ICML 2003). The first iteration computes every distance row
-  and keeps, per point, a lower bound on its distance to every centroid but
-  its own: the square root of the second-smallest squared distance minus a
-  slack. Every centroid update lowers it by the largest centroid shift.
-  Each later iteration still makes the (q, k) GEMM, a tenth of a plain
-  iteration at q = 5000, k = 20, and reads each point's own entry
-  fl(fl(cc + pp) + cross) from it, the exact value a full row would hold. Half the distance from each
-  centroid to its nearest other centroid is a second bound. A point gets a
-  full distance row, with the formula, order and first-minimum rule above,
-  only where its own squared distance plus the slack reaches the square of
-  the larger bound; elsewhere no other centroid can be nearer, not even
-  after rounding. Any squared distance computed here is within
-  (dim + 2) 2^-53 (|x| + |c|)^2 <= (dim + 2) 2^-51 max|x|^2 of the exact
-  one, since every centroid is a mean of points or a point; the slack,
-  (dim + 2) 2^-38 max|x|^2, is 2^13 times that, which also covers the
-  rounding of the bounds over ``MAX_ITERS`` updates. ``distance_rows``
-  counts the rows computed: on the SC inputs of the benchmark's N = 5000,
-  k = 20 graph, 158 492 of the 1 010 000 a plain run computes. Its memory
-  is the same two q x k buffers, the q lower bounds, q-long temporaries and
-  the gathered cross terms of the rows it computes.
+From ``BOUNDS_MIN_POINTS`` points on, Lloyd iterations skip work whose
+outcome they can prove, with labels, iterations and inertia bit for bit
+those of the plain iterations (Hamerly, "Making k-means even faster", SDM
+2010; Elkan, ICML 2003). The first iteration computes every distance row and
+keeps, per point, a lower bound on its distance to every centroid but its
+own: the square root of the second-smallest squared distance minus a slack.
+Every centroid update lowers it by the largest centroid shift. Each later
+iteration still makes the (q, k) GEMM, a tenth of a plain iteration at
+q = 5000, k = 20, and reads each point's own entry fl(fl(cc + pp) + cross)
+from it, the exact value a full row would hold. Half the distance from each
+centroid to its nearest other centroid is a second bound. A point gets a
+full distance row, with the formula, order and first-minimum rule above,
+only where its own squared distance plus the slack reaches the square of the
+larger bound; elsewhere no other centroid can be nearer, not even after
+rounding. Any squared distance computed here is within
+(dim + 2) 2^-53 (|x| + |c|)^2 <= (dim + 2) 2^-51 max|x|^2 of the exact one,
+since every centroid is a mean of points or a point; the slack,
+(dim + 2) 2^-38 max|x|^2, is 2^13 times that, which also covers the rounding
+of the bounds over ``MAX_ITERS`` updates. ``distance_rows`` counts the rows
+computed: on the SC inputs of the benchmark's N = 5000, k = 20 graph,
+158 492 of the 1 010 000 a plain run computes. Its memory is the same two
+q x k buffers, the q lower bounds, q-long temporaries and the gathered cross
+terms of the rows it computes.
 
 The gate is set from synthetic unit rows (k blobs in k dimensions; k = 20
-and 100; best of 8 calls per path on 2 vCPUs): against the plain paths the
-bounded ones took 10-30 % longer at q <= 500, broke even between q = 750
+and 100; best of 8 calls per path on 2 vCPUs): against the plain iterations
+the bounded ones took 10-30 % longer at q <= 500, broke even between q = 750
 and 1500, and saved 13-32 % at q = 2000 and 3000. At 2000, CSC's k-means
 (n = 2k ln k points: 120 at k = 20, 922 at k = 100) and SC on graphs of
-fewer than 2000 nodes keep the plain paths.
+fewer than 2000 nodes keep the plain iterations.
 """
 
 from __future__ import annotations
@@ -105,7 +101,7 @@ MAX_ITERS = 100
 # a run stops when its inertia falls by at most this fraction
 TOL = 1e-6
 # from this many points on, Lloyd iterations skip the distance rows their
-# bounds settle and k-means++ draws search block sums (see the module docstring)
+# bounds settle (see the module docstring)
 BOUNDS_MIN_POINTS = 2000
 # entries of D^2 per block of a block-sum draw
 DRAW_BLOCK = 64
@@ -120,33 +116,24 @@ class Labeling:
     distance_rows: int
 
 
-def _choice_cdfs(d2: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """choice's cdf of each row of the (R, q) ``d2``, and which rows have a positive sum.
+def _choice_index(row: np.ndarray, u: float) -> int:
+    """The index ``rng.choice(q, p=row / row.sum())`` draws with the uniform ``u``.
 
-    The cumulative sum of p = d2 / d2.sum(), divided by its last entry, as
-    ``rng.choice(q, p=p)`` makes it; a row of zeros gives zeros. ``out`` may be
-    an (R, q) buffer for the cdfs.
+    A search of choice's own cdf: the cumulative sum of p, divided by its
+    last entry.
     """
-    totals = d2.sum(axis=1)
-    pos = totals > 0
-    cdf = np.divide(d2, np.where(pos, totals, 1.0)[:, None], out=out)
-    np.cumsum(cdf, axis=1, out=cdf)
-    cdf /= np.where(pos, cdf[:, -1], 1.0)[:, None]
-    return cdf, pos
+    cdf = np.cumsum(row / row.sum())
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, side="right"))
 
 
-def _draw(d2: np.ndarray, rngs: list[np.random.Generator], out: np.ndarray | None = None) -> np.ndarray:
+def _draw(d2: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
     """One index per row of the (R, q) ``d2``, row i drawn with ``rngs[i]``.
 
     The draw of ``rng.choice(q, p=d2[i] / d2[i].sum())`` without choice's
-    checks of p, or of ``rng.integers(q)`` when the row sums to 0. ``out``
-    may be an (R, q) buffer for the cdfs.
+    checks of p, or of ``rng.integers(q)`` when the row sums to 0.
     """
     r, q = d2.shape
-    if q < BOUNDS_MIN_POINTS:
-        cdf, pos = _choice_cdfs(d2, out)
-        return np.array([cdf[i].searchsorted(rng.random(), side="right") if pos[i] else rng.integers(q)
-                         for i, rng in enumerate(rngs)], dtype=np.int64)
     # D^2's partial sums at the block ends, then inside the block where u * total falls
     ends = np.cumsum(np.add.reduceat(d2, np.arange(0, q, DRAW_BLOCK), axis=1), axis=1)
     total = ends[:, -1]
@@ -176,7 +163,7 @@ def _draw(d2: np.ndarray, rngs: list[np.random.Generator], out: np.ndarray | Non
     certain = pos & (index < q) & (above - target > margin) & (target - below > margin)
     picks[certain] = index[certain]
     for i in np.flatnonzero(pos & ~certain):
-        picks[i] = _choice_cdfs(d2[i : i + 1])[0][0].searchsorted(u[i], side="right")
+        picks[i] = _choice_index(d2[i], u[i])
     return picks
 
 
@@ -203,7 +190,7 @@ def _seed_picks(points: np.ndarray, pp: np.ndarray, k: int, rngs: list[np.random
         np.maximum(dist, 0.0, out=dist)
         dist[replicates, chosen] = 0.0
         np.minimum(d2, dist, out=d2)
-        picks[:, j] = _draw(d2, rngs, out=dist)
+        picks[:, j] = _draw(d2, rngs)
     return picks
 
 
@@ -247,6 +234,9 @@ def _lloyd(points, pp, centroids, max_iters, tol):
             gaps += cc
             np.fill_diagonal(gaps, np.inf)
             half = 0.5 * np.sqrt(np.maximum(gaps.min(axis=1) - slack, 0.0))
+            # half is never negative, so the maximum also keeps bound >= 0
+            # once centroid shifts have driven lower below 0, where squaring
+            # lower alone would raise the bound and skip rows that are needed
             bound = np.maximum(lower, half[labels])
             todo = np.flatnonzero(point_d2 + slack >= bound * bound)
             sub = dist[: todo.size]

@@ -236,8 +236,6 @@ def run_sc_baseline(op: LaplacianOp, k: int, *, seed: int = 0, basis: EigenBasis
                 f"basis with eigenvectors of shape {vectors} and eigenvalues of shape {values}: "
                 f"need {n} rows and at least {count} columns, one eigenvalue per column"
             )
-    kmeans_seed = substream_seed(seed, "kmeans")
-
     t0 = time.perf_counter()
     if basis is None:
         basis = dense_eig(op, count)
@@ -256,7 +254,7 @@ def run_sc_baseline(op: LaplacianOp, k: int, *, seed: int = 0, basis: EigenBasis
     Y = Uk / norms[:, None]
 
     t1 = time.perf_counter()
-    labeling = kmeans(Y, k, kmeans_seed)
+    labeling = kmeans(Y, k, substream_seed(seed, "kmeans"))
     t_kmeans = time.perf_counter() - t1
 
     diagnostics = {
@@ -271,7 +269,7 @@ def run_sc_baseline(op: LaplacianOp, k: int, *, seed: int = 0, basis: EigenBasis
         "kmeans_inertia": labeling.inertia,
         "kmeans_iterations": labeling.iterations_run,
         "kmeans_distance_rows": labeling.distance_rows,
-        "seed": kmeans_seed,
+        "seed": seed,
         "timings": {"eig": t_eig, "kmeans": t_kmeans, "total": t_eig + t_kmeans},
     }
     return ClusterResult(labels=labeling.labels, diagnostics=diagnostics)

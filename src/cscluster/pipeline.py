@@ -121,10 +121,13 @@ def run_csc(op: LaplacianOp, params: CscParams) -> ClusterResult:
         est, lam = None, float(prm.lambda_k)
     timings["probe"] = time.perf_counter() - t0
 
-    # 2. F = h(L) R: the filter runs in float32 on the drawn signals, F is float64
+    # 2. F = h(L) R: the filter runs in float32 on the drawn signals, F is float64;
+    # neither the float64 draw nor its float32 copy outlives the filter
     t0 = time.perf_counter()
-    signals = generate_signals(N, prm.d, seed=substream(prm.seed, "signals"))
-    filtered = build_features(op, lowpass_coefficients(lam, prm.p)[0], signals.astype(np.float32))
+    filtered = build_features(
+        op, lowpass_coefficients(lam, prm.p)[0],
+        generate_signals(N, prm.d, seed=substream(prm.seed, "signals")).astype(np.float32),
+    )
     timings["filter"] = time.perf_counter() - t0
 
     # 3. sampling: an isolated node filters to h(1) r_i, which row

@@ -71,9 +71,8 @@ def _check_draws_are_rng_choice(low, high, variants):
         streams = np.random.SeedSequence(v).spawn(5)
         ours = [np.random.default_rng(ss) for ss in streams]
         theirs = [np.random.default_rng(ss) for ss in streams]
-        buffer = np.empty_like(d2)
         for _ in range(40):
-            got = _draw(d2, ours, out=buffer if v % 2 else None)
+            got = _draw(d2, ours)
             for row, i, rng in zip(d2, got, theirs):
                 total = row.sum()
                 assert i == (rng.choice(q, p=row / total) if total > 0 else rng.integers(q))
@@ -109,7 +108,7 @@ def _check_every_iteration_cap(order, tol, per, variants):
 
 LOOP_CASES = [
     "blobs-k4", "gaussian-500x20-k40", "repair-input", "duplicates-3x4-k5", "unit-rows-f-order-k12",
-    # at least BOUNDS_MIN_POINTS points: bounded Lloyd iterations and block-sum draws
+    # at least BOUNDS_MIN_POINTS points: bounded Lloyd iterations
     "unit-rows-f-order-12x400-k12", "repair-input-2000",
 ]
 
@@ -224,10 +223,11 @@ class TestKmeans:
             assert got.iterations_run < MAX_ITERS
 
     def test_bounds_skip_rows_and_change_nothing_else(self, monkeypatch):
-        # with the gate above q, the same call takes the plain paths, which
-        # compute q rows in every executed iteration; the bounded run gives
-        # the same labels, iterations and inertia bit for bit from under a
-        # seventh of those rows. Both counts are deterministic: pinned
+        # with the gate above q, the same call takes the plain Lloyd
+        # iterations, which compute q rows in every executed iteration; the
+        # bounded run gives the same labels, iterations and inertia bit for
+        # bit from under a seventh of those rows. Both counts are
+        # deterministic: pinned
         pts, k, seed = _loop_case("unit-rows-f-order-12x400-k12")
         q = len(pts)
         bounded = kmeans(pts, k, seed)
@@ -313,34 +313,34 @@ class TestKmeans:
     def test_draw_is_rng_choice(self):
         # row by row the same index as rng.choice(q, p=d2 / total), and each
         # stream left where choice leaves it; zero entries can never be
-        # drawn, and a row of zeros draws rng.integers(q)
+        # drawn, and a row of zeros draws rng.integers(q); rows of 1 to 399
+        # entries span 1 to 7 blocks of DRAW_BLOCK, the last one often partial
         _check_draws_are_rng_choice(1, 400, variants=60)
 
     def test_block_draw_is_rng_choice(self):
-        # the same from BOUNDS_MIN_POINTS entries per row on, through block sums
-        _check_draws_are_rng_choice(BOUNDS_MIN_POINTS, 3 * BOUNDS_MIN_POINTS, variants=15)
+        # the same on rows of 2000 to 6000 entries, 32 to 94 blocks
+        _check_draws_are_rng_choice(2000, 6000, variants=15)
 
     def test_block_draw_on_a_partial_sum_takes_choices_cdf(self, monkeypatch):
         # equal weights: choice's cdf entry i is exactly (i + 1) / q, so u
         # draws floor(u q), and every partial sum is exact. u = 1/2 lands on
-        # the end of block 31 of 64: no rounding bound separates u from it,
-        # so the draw builds choice's cdf. Half an entry away from a partial
-        # sum, the partial sums decide without it
-        q = 64 * DRAW_BLOCK
-        assert q >= BOUNDS_MIN_POINTS
+        # the end of the middle block, of 64 or of 2: no rounding bound
+        # separates u from it, so the draw builds choice's cdf. Half an entry
+        # away from a partial sum, the partial sums decide without it
         built = []
-        real_cdfs = KMEANS._choice_cdfs
+        real_index = KMEANS._choice_index
 
-        def recording_cdfs(d2, out=None):
-            built.append(d2.shape)
-            return real_cdfs(d2, out)
+        def recording_index(row, u):
+            built.append(row.shape)
+            return real_index(row, u)
 
-        monkeypatch.setattr(KMEANS, "_choice_cdfs", recording_cdfs)
-        d2 = np.ones((1, q))
-        for u, index, fallback in [(0.5, q // 2, True), (0.5 + 0.5 / q, q // 2, False), (0.5 - 0.5 / q, q // 2 - 1, False)]:
-            built.clear()
-            assert int(_draw(d2, [FixedUniform(u)])[0]) == index
-            assert built == ([(1, q)] if fallback else [])
+        monkeypatch.setattr(KMEANS, "_choice_index", recording_index)
+        for q in (64 * DRAW_BLOCK, 2 * DRAW_BLOCK):
+            d2 = np.ones((1, q))
+            for u, index, fallback in [(0.5, q // 2, True), (0.5 + 0.5 / q, q // 2, False), (0.5 - 0.5 / q, q // 2 - 1, False)]:
+                built.clear()
+                assert int(_draw(d2, [FixedUniform(u)])[0]) == index
+                assert built == ([(q,)] if fallback else [])
 
     def test_draw_at_the_ends_of_the_unit_interval(self):
         # u = 0 and the largest u below 1 draw the first and last positive

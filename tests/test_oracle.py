@@ -15,6 +15,7 @@ from scipy.sparse.linalg import ArpackError
 
 import cscluster.oracle
 from cscluster import (
+    CscParams,
     DegenerateClusteringError,
     DenseCapError,
     LaplacianOp,
@@ -24,6 +25,7 @@ from cscluster import (
     critical_epsilon,
     dense_eig,
     laplacian_op,
+    run_csc,
     run_sc_baseline,
     sbm_generate,
 )
@@ -395,6 +397,13 @@ class TestSpectralClustering:
         for seed in (0, 7):
             first = run_sc_baseline(op, k, seed=seed).to_json()
             assert run_sc_baseline(op, k, seed=seed).to_json() == first
+
+    def test_reports_the_callers_seed_as_csc_does(self, sbm500):
+        # both pipelines derive their k-means seed from the caller's, and
+        # both report the caller's
+        op, k = sbm500["op"], sbm500["k"]
+        assert run_sc_baseline(op, k, seed=5).diagnostics["seed"] == 5
+        assert run_csc(op, CscParams(k=k, seed=5)).diagnostics["seed"] == 5
 
     @pytest.mark.slow
     def test_sbm_near_perfect_recovery(self):
